@@ -10,6 +10,9 @@
 //! per-depth-doubling time multiplies by ~4 (or worse once the path *count*
 //! also grows with depth). The machine's per-step cost is flat: doubling the
 //! depth should roughly double the per-path work.
+//!
+//! Every cell is timed [`REPETITIONS`] times; the file records the median
+//! and the median absolute deviation (MAD) of each.
 
 use probterm_intervalsem::{explore, explore_substitution, ExplorationConfig};
 use probterm_numerics::Rational;
@@ -17,25 +20,44 @@ use probterm_spcf::{catalog, Term};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
+/// Timed runs per cell.
+const REPETITIONS: usize = 5;
+
 #[derive(Debug, Clone, Serialize)]
 struct DepthRow {
     benchmark: String,
     depth: usize,
     paths: usize,
     machine_ns: u128,
+    machine_mad_ns: u128,
     substitution_ns: u128,
+    substitution_mad_ns: u128,
     speedup: f64,
 }
 
-fn best_of<F: FnMut() -> usize>(repetitions: usize, mut run: F) -> (Duration, usize) {
-    let mut best = Duration::MAX;
-    let mut paths = 0usize;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        paths = run();
-        best = best.min(start.elapsed());
+/// Median and MAD of [`REPETITIONS`] timed runs, plus the path count.
+fn median_of<F: FnMut() -> usize>(mut run: F) -> (Duration, Duration, usize) {
+    fn median(sorted: &[Duration]) -> Duration {
+        let mid = sorted.len() / 2;
+        if sorted.len().is_multiple_of(2) {
+            (sorted[mid - 1] + sorted[mid]) / 2
+        } else {
+            sorted[mid]
+        }
     }
-    (best, paths)
+    let mut paths = 0usize;
+    let mut times: Vec<Duration> = (0..REPETITIONS)
+        .map(|_| {
+            let start = Instant::now();
+            paths = run();
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    let mid = median(&times);
+    let mut deviations: Vec<Duration> = times.iter().map(|t| t.abs_diff(mid)).collect();
+    deviations.sort();
+    (mid, median(&deviations), paths)
 }
 
 fn measure(name: &str, term: &Term, depths: &[usize], rows: &mut Vec<DepthRow>) {
@@ -43,10 +65,10 @@ fn measure(name: &str, term: &Term, depths: &[usize], rows: &mut Vec<DepthRow>) 
         let config = ExplorationConfig::default()
             .with_max_steps_per_path(depth)
             .with_max_paths(20_000);
-        let (machine_time, machine_paths) =
-            best_of(3, || explore(term, &config).terminated.len());
-        let (substitution_time, substitution_paths) =
-            best_of(3, || explore_substitution(term, &config).terminated.len());
+        let (machine_time, machine_mad, machine_paths) =
+            median_of(|| explore(term, &config).terminated.len());
+        let (substitution_time, substitution_mad, substitution_paths) =
+            median_of(|| explore_substitution(term, &config).terminated.len());
         assert_eq!(
             machine_paths, substitution_paths,
             "{name} @ {depth}: differential mismatch"
@@ -62,7 +84,9 @@ fn measure(name: &str, term: &Term, depths: &[usize], rows: &mut Vec<DepthRow>) 
             depth,
             paths: machine_paths,
             machine_ns: machine_time.as_nanos(),
+            machine_mad_ns: machine_mad.as_nanos(),
             substitution_ns: substitution_time.as_nanos(),
+            substitution_mad_ns: substitution_mad.as_nanos(),
             speedup,
         });
     }

@@ -26,6 +26,21 @@
 //! [`explore_substitution`], the reference the machine is differentially
 //! tested against (`tests/symbolic_differential.rs`).
 //!
+//! # Cost of a fork and of a volume
+//!
+//! A path's branch decisions and constraints live in a shared-prefix
+//! persistent list, so a fork costs O(1) in the path's history, however deep
+//! the path: both children share the parent's list and each pushes one entry.
+//! The history is copied out into [`SymbolicPath`] or [`FrontierPath`]
+//! vectors only when the path terminates or is cut off, and a frontier path's
+//! branches are shared, not copied, with the [`ReplaySeed`]s of a checkpoint.
+//! [`SymbolicPath::exact_probability`] reads each constraint as a sparse
+//! affine form holding only its nonzero coefficients, so apart from the
+//! volume oracle it costs O(sample variables + total size of the
+//! constraints), where one dense coefficient vector per constraint would cost
+//! O(sample variables × constraints). The oracle runs once per independent
+//! group of variables, on that group's constraints alone.
+//!
 //! # Interruption
 //!
 //! [`try_explore`] threads a cooperative check through the exploration loop,
@@ -41,6 +56,7 @@ use probterm_telemetry::{EngineProfile, ProfileCell, ProgressCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A symbolic value of base type: an expression over sample variables,
 /// rational constants and primitive functions.
@@ -95,48 +111,38 @@ impl SymValue {
     }
 
     /// Attempts to view the value as an affine expression `Σ cᵢ·αᵢ + k` over
-    /// `dimension` sample variables. Returns `(coefficients, constant)`.
+    /// `dimension` sample variables. Returns `(coefficients, constant)`: the
+    /// dense rendering of the value's sparse affine form, so `None` also when
+    /// a variable that survives cancellation has index `≥ dimension`.
     ///
     /// Only addition, subtraction, negation and multiplication in which at
     /// least one factor is constant are affine; anything else returns `None`.
     pub fn as_affine(&self, dimension: usize) -> Option<(Vec<Rational>, Rational)> {
+        let form = self.affine_form()?;
+        Some((form.dense(dimension)?, form.constant))
+    }
+
+    /// The sparse affine view of the value: like [`SymValue::as_affine`], but
+    /// holding only the nonzero coefficients, so its cost is proportional to
+    /// the size of the value rather than to the number of sample variables.
+    fn affine_form(&self) -> Option<AffineForm> {
         match self {
-            SymValue::Const(r) => Some((vec![Rational::zero(); dimension], r.clone())),
-            SymValue::Var(i) => {
-                if *i >= dimension {
-                    return None;
-                }
-                let mut coeffs = vec![Rational::zero(); dimension];
-                coeffs[*i] = Rational::one();
-                Some((coeffs, Rational::zero()))
-            }
+            SymValue::Const(r) => Some(AffineForm { terms: Vec::new(), constant: r.clone() }),
+            SymValue::Var(i) => Some(AffineForm {
+                terms: vec![(*i, Rational::one())],
+                constant: Rational::zero(),
+            }),
             SymValue::Prim(p, args) => match p {
-                Prim::Add | Prim::Sub => {
-                    let (ca, ka) = args[0].as_affine(dimension)?;
-                    let (cb, kb) = args[1].as_affine(dimension)?;
-                    let combine = |a: &Rational, b: &Rational| {
-                        if *p == Prim::Add {
-                            a + b
-                        } else {
-                            a - b
-                        }
-                    };
-                    Some((
-                        ca.iter().zip(&cb).map(|(a, b)| combine(a, b)).collect(),
-                        combine(&ka, &kb),
-                    ))
-                }
-                Prim::Neg => {
-                    let (c, k) = args[0].as_affine(dimension)?;
-                    Some((c.iter().map(|x| -x).collect(), -k))
-                }
+                Prim::Add => Some(args[0].affine_form()?.add(args[1].affine_form()?)),
+                Prim::Sub => Some(args[0].affine_form()?.add(args[1].affine_form()?.neg())),
+                Prim::Neg => Some(args[0].affine_form()?.neg()),
                 Prim::Mul => {
-                    let (ca, ka) = args[0].as_affine(dimension)?;
-                    let (cb, kb) = args[1].as_affine(dimension)?;
-                    if ca.iter().all(Rational::is_zero) {
-                        Some((cb.iter().map(|x| x * &ka).collect(), &ka * &kb))
-                    } else if cb.iter().all(Rational::is_zero) {
-                        Some((ca.iter().map(|x| x * &kb).collect(), &ka * &kb))
+                    let a = args[0].affine_form()?;
+                    let b = args[1].affine_form()?;
+                    if a.terms.is_empty() {
+                        Some(b.scale(&a.constant))
+                    } else if b.terms.is_empty() {
+                        Some(a.scale(&b.constant))
                     } else {
                         None
                     }
@@ -168,6 +174,59 @@ impl fmt::Display for SymValue {
                 write!(f, ")")
             }
         }
+    }
+}
+
+/// An affine expression `Σ cᵢ·αᵢ + k` holding only its nonzero coefficients,
+/// sorted by variable index.
+#[derive(Debug)]
+struct AffineForm {
+    terms: Vec<(usize, Rational)>,
+    constant: Rational,
+}
+
+impl AffineForm {
+    /// `self + other`; coefficients that cancel are dropped.
+    fn add(mut self, other: AffineForm) -> AffineForm {
+        self.terms.extend(other.terms);
+        self.terms.sort_by_key(|(i, _)| *i);
+        let mut terms: Vec<(usize, Rational)> = Vec::with_capacity(self.terms.len());
+        for (i, c) in self.terms {
+            match terms.last_mut() {
+                Some((last, sum)) if *last == i => *sum += c,
+                _ => terms.push((i, c)),
+            }
+        }
+        terms.retain(|(_, c)| !c.is_zero());
+        AffineForm { terms, constant: self.constant + other.constant }
+    }
+
+    /// `−self`.
+    fn neg(self) -> AffineForm {
+        AffineForm {
+            terms: self.terms.into_iter().map(|(i, c)| (i, -c)).collect(),
+            constant: -self.constant,
+        }
+    }
+
+    /// `factor · self`; scaling by zero leaves no terms.
+    fn scale(self, factor: &Rational) -> AffineForm {
+        let terms = if factor.is_zero() {
+            Vec::new()
+        } else {
+            self.terms.into_iter().map(|(i, c)| (i, c * factor)).collect()
+        };
+        AffineForm { terms, constant: &self.constant * factor }
+    }
+
+    /// The coefficients as a dense vector over `dimension` variables, `None`
+    /// when a variable lies outside it.
+    fn dense(&self, dimension: usize) -> Option<Vec<Rational>> {
+        let mut coeffs = vec![Rational::zero(); dimension];
+        for (i, c) in &self.terms {
+            *coeffs.get_mut(*i)? = c.clone();
+        }
+        Some(coeffs)
     }
 }
 
@@ -245,16 +304,23 @@ impl SymConstraint {
     /// Translates the constraint into a linear inequality `c·α ≤ b` when the
     /// underlying value is affine. For strict constraints the closure is
     /// returned (sound for volume purposes: the boundary is a null set).
+    /// This is the dense rendering of the constraint's sparse linear form.
     pub fn as_linear(&self, dimension: usize) -> Option<(Vec<Rational>, Rational)> {
-        let (coeffs, constant) = self.value.as_affine(dimension)?;
-        Some(match self.kind {
-            // V ≤ 0  ⟺  c·α ≤ -k
-            ConstraintKind::NonPositive => (coeffs, -constant),
-            // V > 0  ⟺  -c·α < k  (closed for measuring purposes)
-            ConstraintKind::Positive => (coeffs.iter().map(|x| -x).collect(), constant),
-            // V ≥ 0  ⟺  -c·α ≤ k
-            ConstraintKind::NonNegative => (coeffs.iter().map(|x| -x).collect(), constant),
-        })
+        let form = self.linear_form()?;
+        Some((form.dense(dimension)?, form.constant))
+    }
+
+    /// The constraint as `c·α ≤ b` in sparse form: `terms` holds `c`, and
+    /// `constant` holds `b`.
+    fn linear_form(&self) -> Option<AffineForm> {
+        // Every kind is `W ≤ 0` for some affine `W = c·α + k` (closed for a
+        // strict `V > 0`: the boundary is a null set), i.e. `c·α ≤ −k`.
+        let form = self.value.affine_form()?;
+        let w = match self.kind {
+            ConstraintKind::NonPositive => form,
+            ConstraintKind::Positive | ConstraintKind::NonNegative => form.neg(),
+        };
+        Some(AffineForm { terms: w.terms, constant: -w.constant })
     }
 }
 
@@ -304,7 +370,9 @@ impl SymbolicPath {
             .all(|c| c.as_linear(self.sample_count).is_some())
     }
 
-    /// Builds the polytope `{α ∈ [0,1]^m | Δ}` for linear paths.
+    /// Builds the polytope `{α ∈ [0,1]^m | Δ}` for linear paths. Dense in all
+    /// `m` sample variables: the reference [`SymbolicPath::exact_probability`]
+    /// is tested against.
     pub fn to_polytope(&self) -> Option<UnitCubePolytope> {
         let mut poly = UnitCubePolytope::new(self.sample_count);
         for c in &self.constraints {
@@ -316,93 +384,88 @@ impl SymbolicPath {
 
     /// Exact probability of the path region for linear paths.
     ///
-    /// The constraint system is first split into independent groups of sample
+    /// The constraint system is split into independent groups of sample
     /// variables (constraints sharing no variable are probabilistically
-    /// independent), and the volume of each low-dimensional group is computed
-    /// separately — long paths whose constraints are all univariate (the common
-    /// case for the Table 1 benchmarks) therefore take linear time instead of
-    /// invoking the volume oracle in the full trace dimension.
+    /// independent), and the volume of each group is computed on a polytope
+    /// over that group's variables alone. Each constraint is read as a sparse
+    /// affine form, so apart from the volume oracle the cost is
+    /// O(m + Σ size of the constraints) for `m` sample variables; the oracle
+    /// is exponential in a group's dimension, which is why groups over more
+    /// than 7 variables return `None` (the caller falls back to the sound
+    /// box sweep). Long paths whose constraints are all univariate — the
+    /// common case in Table 1 — call the oracle only on intervals.
     pub fn exact_probability(&self) -> Option<Rational> {
-        let linear: Vec<(Vec<Rational>, Rational)> = self
-            .constraints
-            .iter()
-            .map(|c| c.as_linear(self.sample_count))
-            .collect::<Option<Vec<_>>>()?;
-        // Union-find over sample variables connected by shared constraints.
-        let mut parent: Vec<usize> = (0..self.sample_count).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let root = find(parent, parent[i]);
-                parent[i] = root;
-            }
-            parent[i]
-        }
-        for (coeffs, _) in &linear {
-            let vars: Vec<usize> = coeffs
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.is_zero())
-                .map(|(i, _)| i)
-                .collect();
-            for pair in vars.windows(2) {
-                let a = find(&mut parent, pair[0]);
-                let b = find(&mut parent, pair[1]);
-                parent[a] = b;
-            }
-        }
-        let mut probability = Rational::one();
-        // Constant constraints (no variables): either trivially true or the path is empty.
-        for (coeffs, bound) in &linear {
-            if coeffs.iter().all(Rational::is_zero) && bound.is_negative() {
-                return Some(Rational::zero());
-            }
-        }
-        // Process each connected component separately.
-        let roots: Vec<usize> = (0..self.sample_count)
-            .map(|i| find(&mut parent, i))
-            .collect();
-        let mut distinct_roots: Vec<usize> = roots.clone();
-        distinct_roots.sort_unstable();
-        distinct_roots.dedup();
         // The exact volume oracle is exponential in the dimension; beyond this
         // threshold the caller falls back to the (sound) box-splitting sweep.
         const MAX_EXACT_DIMENSION: usize = 7;
-        for root in distinct_roots {
-            let component: Vec<usize> = (0..self.sample_count)
-                .filter(|i| roots[*i] == root)
-                .collect();
-            if component.len() > MAX_EXACT_DIMENSION {
+        let n = self.sample_count;
+        let linear: Vec<AffineForm> = self
+            .constraints
+            .iter()
+            .map(SymConstraint::linear_form)
+            .collect::<Option<Vec<_>>>()?;
+        if linear.iter().any(|form| form.terms.last().is_some_and(|(i, _)| *i >= n)) {
+            return None;
+        }
+        // Constant constraints (no variables): either trivially true or the path is empty.
+        if linear.iter().any(|form| form.terms.is_empty() && form.constant.is_negative()) {
+            return Some(Rational::zero());
+        }
+        // Union-find over sample variables connected by shared constraints.
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut [usize], mut i: usize) -> usize {
+            let mut root = i;
+            while parent[root] != root {
+                root = parent[root];
+            }
+            while parent[i] != root {
+                i = std::mem::replace(&mut parent[i], root);
+            }
+            root
+        }
+        for form in &linear {
+            for pair in form.terms.windows(2) {
+                let a = find(&mut parent, pair[0].0);
+                let b = find(&mut parent, pair[1].0);
+                parent[a] = b;
+            }
+        }
+        // Each variable's position inside its component, each component's
+        // size, and the constraints of each component, all indexed by root.
+        let mut local = vec![0usize; n];
+        let mut size = vec![0usize; n];
+        for (i, slot) in local.iter_mut().enumerate() {
+            let root = find(&mut parent, i);
+            *slot = size[root];
+            size[root] += 1;
+        }
+        let mut groups: Vec<Vec<&AffineForm>> = vec![Vec::new(); n];
+        for form in &linear {
+            if let Some((i, _)) = form.terms.first() {
+                groups[find(&mut parent, *i)].push(form);
+            }
+        }
+        // Ascending root order, so the early returns below (an oversized
+        // component, an empty one) fire in a fixed order.
+        let mut probability = Rational::one();
+        for (root, group) in groups.iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            if size[root] > MAX_EXACT_DIMENSION {
                 return None;
             }
-            let index_of: std::collections::HashMap<usize, usize> = component
-                .iter()
-                .enumerate()
-                .map(|(local, global)| (*global, local))
-                .collect();
-            let mut poly = UnitCubePolytope::new(component.len());
-            let mut has_constraint = false;
-            for (coeffs, bound) in &linear {
-                let support: Vec<usize> = coeffs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| !c.is_zero())
-                    .map(|(i, _)| i)
-                    .collect();
-                if support.is_empty() || roots[support[0]] != root {
-                    continue;
+            let mut poly = UnitCubePolytope::new(size[root]);
+            for form in group {
+                let mut coeffs = vec![Rational::zero(); size[root]];
+                for (i, c) in &form.terms {
+                    coeffs[local[*i]] = c.clone();
                 }
-                let mut local = vec![Rational::zero(); component.len()];
-                for i in support {
-                    local[index_of[&i]] = coeffs[i].clone();
-                }
-                poly.add(local, bound.clone());
-                has_constraint = true;
+                poly.add(coeffs, form.constant.clone());
             }
-            if has_constraint {
-                probability *= &poly.probability();
-                if probability.is_zero() {
-                    return Some(probability);
-                }
+            probability *= &poly.probability();
+            if probability.is_zero() {
+                return Some(probability);
             }
         }
         Some(probability)
@@ -630,8 +693,9 @@ pub struct FrontierPath {
     /// Small-step reductions performed before the path was cut off.
     pub steps: usize,
     /// Branch decisions taken so far — `branches.len()` is the path's depth
-    /// in the symbolic execution tree.
-    pub branches: Vec<Branch>,
+    /// in the symbolic execution tree. Shared with the [`ReplaySeed`]s that
+    /// [`frontier_seeds`] makes from this path.
+    pub branches: Arc<[Branch]>,
 }
 
 impl FrontierPath {
@@ -751,7 +815,7 @@ pub struct ReplaySeed {
     /// Small-step reductions the path had performed when it was cut off.
     pub steps: usize,
     /// Branch decisions from the root to the paused node.
-    pub branches: Vec<Branch>,
+    pub branches: Arc<[Branch]>,
 }
 
 impl ReplaySeed {
@@ -760,7 +824,7 @@ impl ReplaySeed {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = format!("{}:", self.steps);
-        for b in &self.branches {
+        for b in self.branches.iter() {
             out.push(match b {
                 Branch::Then => 'T',
                 Branch::Else => 'E',
@@ -781,43 +845,120 @@ impl ReplaySeed {
                 'E' => Some(Branch::Else),
                 _ => None,
             })
-            .collect::<Option<Vec<Branch>>>()?;
+            .collect::<Option<Arc<[Branch]>>>()?;
         Some(ReplaySeed { steps, branches })
     }
 }
 
 /// Converts a checkpointed frontier into the seeds a resumed exploration
 /// takes: the [`ReplaySeed::render`]-compatible data of every frontier path.
+/// Each seed shares its path's branch storage, so a seed costs a reference
+/// count, not a copy.
 #[must_use]
 pub fn frontier_seeds(frontier: &[FrontierPath]) -> Vec<ReplaySeed> {
     frontier
         .iter()
-        .map(|p| ReplaySeed { steps: p.steps, branches: p.branches.clone() })
+        .map(|p| ReplaySeed { steps: p.steps, branches: Arc::clone(&p.branches) })
         .collect()
 }
 
+/// One entry of a path's history: a recorded constraint, together with the
+/// branch decision that recorded it (`None` for a `score` constraint).
+struct Decision {
+    branch: Option<Branch>,
+    constraint: SymConstraint,
+}
+
+/// A path's history as a shared-prefix persistent list, newest entry first.
+/// Cloning shares the whole list, so forking a path costs O(1) however deep
+/// it is; each child then pushes its own entry in front of the shared part.
+/// A path copies its history out into vectors only when it terminates or is
+/// cut off.
+#[derive(Clone, Default)]
+struct History(Option<Rc<HistoryNode>>);
+
+struct HistoryNode {
+    decision: Decision,
+    rest: History,
+}
+
+impl Drop for HistoryNode {
+    /// A history is as long as its path is deep; the default recursive drop
+    /// glue would overflow the stack tearing down a long one. Unlink with a
+    /// loop instead, stopping at the first node another path still shares.
+    fn drop(&mut self) {
+        let mut next = self.rest.0.take();
+        while let Some(node) = next {
+            next = Rc::try_unwrap(node).ok().and_then(|mut node| node.rest.0.take());
+        }
+    }
+}
+
+impl History {
+    fn push(&mut self, branch: Option<Branch>, constraint: SymConstraint) {
+        let rest = History(self.0.take());
+        self.0 = Some(Rc::new(HistoryNode { decision: Decision { branch, constraint }, rest }));
+    }
+
+    /// The entries, newest first.
+    fn iter(&self) -> impl Iterator<Item = &Decision> {
+        std::iter::successors(self.0.as_deref(), |node| node.rest.0.as_deref())
+            .map(|node| &node.decision)
+    }
+
+    /// The branch decisions, oldest first.
+    fn branches(&self) -> Vec<Branch> {
+        let mut branches: Vec<Branch> = self.iter().filter_map(|d| d.branch).collect();
+        branches.reverse();
+        branches
+    }
+
+    /// The constraints, oldest first.
+    fn constraints(&self) -> Vec<SymConstraint> {
+        let mut constraints: Vec<SymConstraint> =
+            self.iter().map(|d| d.constraint.clone()).collect();
+        constraints.reverse();
+        constraints
+    }
+}
+
 /// One in-flight path of the exploration: a paused machine plus the symbolic
-/// bookkeeping (sample counter, oracle, constraints). `oracle` holds branch
-/// decisions still to be *replayed* from a [`ReplaySeed`] — empty except
-/// while a resumed path is being driven back to its paused node.
+/// bookkeeping (sample counter, history). `replay` holds the branches of the
+/// [`ReplaySeed`] a resumed path is being driven back along, and how many of
+/// them it has consumed — `None` once they are used up, and for every path of
+/// a fresh exploration.
 struct PathState<'a> {
     machine: Machine<'a, SymValue, NoAtom>,
     samples: usize,
-    branches: Vec<Branch>,
-    constraints: Vec<SymConstraint>,
-    oracle: VecDeque<Branch>,
+    history: History,
+    replay: Option<(Arc<[Branch]>, usize)>,
 }
 
 impl PathState<'_> {
-    /// The frontier record for an abandoned path. Replay decisions not yet
-    /// consumed are appended: recording only the replayed prefix would name
-    /// an *ancestor* of the checkpointed node, and resuming from an ancestor
-    /// re-explores sibling subtrees whose mass the previous run already
-    /// counted — double counting, i.e. an unsound bound.
+    /// The next recorded decision of a pending replay, if any.
+    fn next_replayed(&mut self) -> Option<Branch> {
+        let (seed, consumed) = self.replay.as_mut()?;
+        let branch = seed[*consumed];
+        *consumed += 1;
+        if *consumed == seed.len() {
+            self.replay = None;
+        }
+        Some(branch)
+    }
+
+    /// The frontier record for an abandoned path. A path cut off mid-replay
+    /// records its seed's full branch list: recording only the replayed
+    /// prefix would name an *ancestor* of the checkpointed node, and resuming
+    /// from an ancestor re-explores sibling subtrees whose mass the previous
+    /// run already counted — double counting, i.e. an unsound bound. (The
+    /// replayed prefix is exactly the history's branches, so the seed is the
+    /// prefix plus the unconsumed rest.)
     fn into_frontier(self) -> FrontierPath {
-        let PathState { machine, mut branches, oracle, .. } = self;
-        branches.extend(oracle);
-        FrontierPath { steps: machine.steps(), branches }
+        let branches = match self.replay {
+            Some((seed, _)) => seed,
+            None => self.history.branches().into(),
+        };
+        FrontierPath { steps: self.machine.steps(), branches }
     }
 }
 
@@ -900,18 +1041,12 @@ pub fn try_explore_seeded_progress<'t, E>(
     ) -> Result<(), E>,
 ) -> (Exploration, Option<E>) {
     let profile = config.profile.then(ProfileCell::shared);
-    let new_machine = |oracle: VecDeque<Branch>| {
+    let new_machine = |replay: Option<(Arc<[Branch]>, usize)>| {
         let mut machine = Machine::new(sym_spec(), term, config.max_steps_per_path);
         if let Some(cell) = &profile {
             machine.set_profile(Rc::clone(cell));
         }
-        PathState {
-            machine,
-            samples: 0,
-            branches: Vec::new(),
-            constraints: Vec::new(),
-            oracle,
-        }
+        PathState { machine, samples: 0, history: History::default(), replay }
     };
     let mut queue: VecDeque<PathState<'_>> = VecDeque::new();
     let mut result = Exploration {
@@ -923,7 +1058,7 @@ pub fn try_explore_seeded_progress<'t, E>(
         profile: None,
     };
     match seeds {
-        None => queue.push_back(new_machine(VecDeque::new())),
+        None => queue.push_back(new_machine(None)),
         Some(seeds) => {
             for seed in seeds {
                 if seed.steps >= config.max_steps_per_path {
@@ -934,10 +1069,12 @@ pub fn try_explore_seeded_progress<'t, E>(
                     result.out_of_fuel += 1;
                     result.frontier.push(FrontierPath {
                         steps: seed.steps,
-                        branches: seed.branches.clone(),
+                        branches: Arc::clone(&seed.branches),
                     });
                 } else {
-                    queue.push_back(new_machine(seed.branches.iter().copied().collect()));
+                    let replay =
+                        (!seed.branches.is_empty()).then(|| (Arc::clone(&seed.branches), 0));
+                    queue.push_back(new_machine(replay));
                 }
             }
         }
@@ -987,8 +1124,8 @@ pub fn try_explore_seeded_progress<'t, E>(
                 Event::Done(value) => {
                     let terminated = SymbolicPath {
                         sample_count: path.samples,
-                        branches: std::mem::take(&mut path.branches),
-                        constraints: std::mem::take(&mut path.constraints),
+                        branches: path.history.branches(),
+                        constraints: path.history.constraints(),
                         steps: path.machine.steps(),
                         result: value.into_lit(),
                     };
@@ -1043,38 +1180,40 @@ pub fn try_explore_seeded_progress<'t, E>(
                     if let SymValue::Const(r) = &guard {
                         let take_then = !r.is_positive();
                         path.machine.resume_branch(take_then);
-                    } else if let Some(b) = path.oracle.pop_front() {
+                    } else if let Some(b) = path.next_replayed() {
                         let take_then = matches!(b, Branch::Then);
                         path.machine.resume_branch(take_then);
-                        path.branches.push(b);
-                        path.constraints.push(SymConstraint {
-                            value: guard,
-                            kind: if take_then {
-                                ConstraintKind::NonPositive
-                            } else {
-                                ConstraintKind::Positive
+                        path.history.push(
+                            Some(b),
+                            SymConstraint {
+                                value: guard,
+                                kind: if take_then {
+                                    ConstraintKind::NonPositive
+                                } else {
+                                    ConstraintKind::Positive
+                                },
                             },
-                        });
+                        );
                     } else {
                         let mut else_path = PathState {
                             machine: path.machine.clone(),
                             samples: path.samples,
-                            branches: path.branches.clone(),
-                            constraints: path.constraints.clone(),
-                            oracle: VecDeque::new(),
+                            history: path.history.clone(),
+                            replay: None,
                         };
                         path.machine.resume_branch(true);
-                        path.branches.push(Branch::Then);
-                        path.constraints.push(SymConstraint {
-                            value: guard.clone(),
-                            kind: ConstraintKind::NonPositive,
-                        });
+                        path.history.push(
+                            Some(Branch::Then),
+                            SymConstraint {
+                                value: guard.clone(),
+                                kind: ConstraintKind::NonPositive,
+                            },
+                        );
                         else_path.machine.resume_branch(false);
-                        else_path.branches.push(Branch::Else);
-                        else_path.constraints.push(SymConstraint {
-                            value: guard,
-                            kind: ConstraintKind::Positive,
-                        });
+                        else_path.history.push(
+                            Some(Branch::Else),
+                            SymConstraint { value: guard, kind: ConstraintKind::Positive },
+                        );
                         queue.push_back(path);
                         queue.push_back(else_path);
                         if let Some(cell) = &profile {
@@ -1091,10 +1230,10 @@ pub fn try_explore_seeded_progress<'t, E>(
                     }
                     SymValue::Const(_) => path.machine.resume_lit(v),
                     _ => {
-                        path.constraints.push(SymConstraint {
-                            value: v.clone(),
-                            kind: ConstraintKind::NonNegative,
-                        });
+                        path.history.push(
+                            None,
+                            SymConstraint { value: v.clone(), kind: ConstraintKind::NonNegative },
+                        );
                         path.machine.resume_lit(v);
                     }
                 },
@@ -1239,11 +1378,11 @@ pub fn explore_substitution(term: &Term, config: &ExplorationConfig) -> Explorat
             result.out_of_fuel += 1 + queue.len();
             result.frontier.push(FrontierPath {
                 steps: state.steps,
-                branches: state.branches,
+                branches: state.branches.into(),
             });
             result.frontier.extend(queue.drain(..).map(|s| FrontierPath {
                 steps: s.steps,
-                branches: s.branches,
+                branches: s.branches.into(),
             }));
             break;
         }
@@ -1262,7 +1401,7 @@ pub fn explore_substitution(term: &Term, config: &ExplorationConfig) -> Explorat
                 result.out_of_fuel += 1;
                 result.frontier.push(FrontierPath {
                     steps: state.steps,
-                    branches: std::mem::take(&mut state.branches),
+                    branches: std::mem::take(&mut state.branches).into(),
                 });
                 break;
             }
@@ -1495,11 +1634,11 @@ mod tests {
     fn replay_seeds_round_trip_and_reject_garbage() {
         let seed = ReplaySeed {
             steps: 42,
-            branches: vec![Branch::Then, Branch::Else, Branch::Else, Branch::Then],
+            branches: vec![Branch::Then, Branch::Else, Branch::Else, Branch::Then].into(),
         };
         assert_eq!(seed.render(), "42:TEET");
         assert_eq!(ReplaySeed::parse("42:TEET"), Some(seed));
-        assert_eq!(ReplaySeed::parse("7:"), Some(ReplaySeed { steps: 7, branches: vec![] }));
+        assert_eq!(ReplaySeed::parse("7:"), Some(ReplaySeed { steps: 7, branches: Arc::from([]) }));
         for bad in ["", "TEET", "42", "42:TXET", "-1:T", "9:te"] {
             assert_eq!(ReplaySeed::parse(bad), None, "{bad:?} must not parse");
         }
@@ -1649,6 +1788,205 @@ mod tests {
         let enclosure = s.eval_interval(&IntervalBox::unit(1)).unwrap();
         assert!(enclosure.lo().to_f64() >= 0.49 && enclosure.hi().to_f64() <= 0.74);
         assert!(format!("{v}").contains("α0"));
+    }
+
+    /// splitmix64: a seeded source for the randomised tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A nonzero rational `±p/q` with small `p` and `q`.
+        fn coefficient(&mut self) -> Rational {
+            let magnitude =
+                Rational::from_ratio(1 + self.below(4) as i64, 1 + self.below(3) as i64);
+            if self.below(2) == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        }
+    }
+
+    fn prim(p: Prim, args: Vec<SymValue>) -> SymValue {
+        SymValue::Prim(p, args)
+    }
+
+    fn constant(r: Rational) -> SymValue {
+        SymValue::Const(r)
+    }
+
+    /// A random affine value over `vars`, written the way exploration
+    /// produces them and worse: constant factors on either side of `mul`,
+    /// negations, constant sub-expressions, and a cancelling `αⱼ − αⱼ` over a
+    /// variable `stray` that need not belong to `vars`.
+    fn random_affine(rng: &mut Rng, vars: &[usize], stray: usize) -> SymValue {
+        let offset = Rational::from_ratio(rng.below(5) as i64 - 2, 1 + rng.below(3) as i64);
+        let mut value = constant(offset);
+        for &i in vars {
+            let c = rng.coefficient();
+            let term = match rng.below(4) {
+                0 => prim(Prim::Mul, vec![constant(c), SymValue::Var(i)]),
+                1 => prim(Prim::Mul, vec![SymValue::Var(i), constant(c)]),
+                2 => prim(Prim::Neg, vec![prim(Prim::Mul, vec![constant(-c), SymValue::Var(i)])]),
+                _ => {
+                    let folded = prim(Prim::Add, vec![constant(c), constant(Rational::zero())]);
+                    prim(Prim::Mul, vec![folded, SymValue::Var(i)])
+                }
+            };
+            value = if rng.below(2) == 0 {
+                prim(Prim::Add, vec![value, term])
+            } else {
+                prim(Prim::Sub, vec![value, prim(Prim::Neg, vec![term])])
+            };
+        }
+        if rng.below(3) == 0 {
+            let cancel = prim(Prim::Sub, vec![SymValue::Var(stray), SymValue::Var(stray)]);
+            value = prim(Prim::Add, vec![cancel, value]);
+        }
+        if rng.below(4) == 0 {
+            value = prim(Prim::Mul, vec![constant(rng.coefficient()), value]);
+        }
+        value
+    }
+
+    fn random_kind(rng: &mut Rng) -> ConstraintKind {
+        [ConstraintKind::NonPositive, ConstraintKind::Positive, ConstraintKind::NonNegative]
+            [rng.below(3)]
+    }
+
+    fn path_over(sample_count: usize, constraints: Vec<SymConstraint>) -> SymbolicPath {
+        SymbolicPath { sample_count, branches: Vec::new(), constraints, steps: 0, result: None }
+    }
+
+    #[test]
+    fn sparse_exact_volumes_equal_the_dense_polytope() {
+        // Random affine systems over at most four sample variables split into
+        // random components: the component-wise sparse volume must equal the
+        // volume of the one dense polytope over all variables, exactly.
+        let mut rng = Rng(0x5eed_2021);
+        let (mut zero, mut positive) = (0, 0);
+        for case in 0..200 {
+            let n = 1 + rng.below(4);
+            let groups = 1 + rng.below(n);
+            let group_of: Vec<usize> = (0..n).map(|_| rng.below(groups)).collect();
+            // Most hyperplanes pass through this interior point, so most
+            // regions are neither empty nor the whole cube.
+            let point: Vec<Rational> =
+                (0..n).map(|_| Rational::from_ratio(1 + rng.below(3) as i64, 4)).collect();
+            let mut constraints = Vec::new();
+            for _ in 0..1 + rng.below(4) {
+                let g = rng.below(groups);
+                let members: Vec<usize> = (0..n).filter(|i| group_of[*i] == g).collect();
+                let vars: Vec<usize> = members.into_iter().filter(|_| rng.below(3) != 0).collect();
+                let stray = rng.below(n);
+                let mut value = random_affine(&mut rng, &vars, stray);
+                if rng.below(4) != 0 {
+                    let at_point = value.eval(&point).expect("affine values are total");
+                    value = prim(Prim::Sub, vec![value, constant(at_point)]);
+                }
+                let constraint = SymConstraint { value, kind: random_kind(&mut rng) };
+                // Both volumes share the affine reading, so check it on its
+                // own: at sample points, `c·α + k` is the value, and
+                // `c·α ≤ b` is the constraint off its boundary.
+                let other: Vec<Rational> =
+                    (0..n).map(|_| Rational::from_ratio(rng.below(9) as i64, 8)).collect();
+                let (coeffs, k) = constraint.value.as_affine(n).expect("affine");
+                let (normal, bound) = constraint.as_linear(n).expect("affine");
+                for at in [&point, &other] {
+                    let dot = |c: &[Rational]| -> Rational {
+                        c.iter().zip(at.iter()).map(|(c, a)| c * a).sum()
+                    };
+                    let value = constraint.value.eval(at).expect("affine values are total");
+                    assert_eq!(dot(&coeffs) + &k, value, "case {case}: {}", constraint.value);
+                    if !value.is_zero() {
+                        let linear = dot(&normal) <= bound;
+                        assert_eq!(constraint.holds_at(at), Some(linear), "case {case}: {constraint}");
+                    }
+                }
+                constraints.push(constraint);
+            }
+            if case % 10 == 0 {
+                // A constraint with no variable left, violated half the time.
+                let bound = constant(Rational::from_int(rng.below(2) as i64 * 2 - 1));
+                let cancel = prim(Prim::Sub, vec![SymValue::Var(0), SymValue::Var(0)]);
+                let value = prim(Prim::Add, vec![cancel, bound]);
+                constraints.push(SymConstraint { value, kind: ConstraintKind::NonPositive });
+            }
+            let path = path_over(n, constraints);
+            let dense = path.to_polytope().expect("affine").probability();
+            assert_eq!(path.exact_probability(), Some(dense.clone()), "case {case}: {path:?}");
+            if dense.is_zero() {
+                zero += 1;
+            } else {
+                positive += 1;
+            }
+        }
+        assert!(zero >= 40 && positive >= 100, "weak mix: {zero} empty, {positive} nonempty");
+    }
+
+    #[test]
+    fn exact_volumes_stop_above_seven_dimensions() {
+        // A chain α_s ≤ α_{s+1} ≤ … over eight variables is one component too
+        // large for the exact oracle. Components are visited in ascending
+        // root order, and a chain's root is its last variable: an empty
+        // component rooted below the chain answers 0 first, one rooted above
+        // it comes too late.
+        let chain = |start: usize| -> Vec<SymConstraint> {
+            (start + 1..start + 8)
+                .map(|i| SymConstraint {
+                    value: prim(Prim::Sub, vec![SymValue::Var(i - 1), SymValue::Var(i)]),
+                    kind: ConstraintKind::NonPositive,
+                })
+                .collect()
+        };
+        let empty = |i: usize| SymConstraint {
+            value: prim(Prim::Add, vec![SymValue::Var(i), constant(Rational::one())]),
+            kind: ConstraintKind::NonPositive,
+        };
+        assert_eq!(path_over(8, chain(0)).exact_probability(), None);
+        let mut below = chain(1);
+        below.push(empty(0));
+        assert_eq!(path_over(9, below).exact_probability(), Some(Rational::zero()));
+        let mut above = chain(0);
+        above.insert(0, empty(8));
+        assert_eq!(path_over(9, above).exact_probability(), None);
+    }
+
+    #[test]
+    fn million_entry_histories_drop_on_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let constraint =
+                    SymConstraint { value: SymValue::Var(0), kind: ConstraintKind::NonPositive };
+                let mut history = History::default();
+                for _ in 0..1_000_000 {
+                    history.push(Some(Branch::Then), constraint.clone());
+                }
+                // A fork shares the million-entry prefix; dropping either
+                // side first must leave the other intact.
+                let mut fork = history.clone();
+                fork.push(Some(Branch::Else), constraint.clone());
+                history.push(None, constraint);
+                drop(history);
+                assert_eq!(fork.branches().len(), 1_000_001);
+                assert_eq!(fork.branches().last(), Some(&Branch::Else));
+                drop(fork);
+            })
+            .expect("spawn")
+            .join()
+            .expect("deep histories drop without overflowing the stack");
     }
 
     #[test]

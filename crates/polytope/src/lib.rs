@@ -346,11 +346,6 @@ fn volume_rec(dimension: usize, constraints: &[Constraint]) -> Rational {
         if facet_volume.is_zero() {
             continue;
         }
-        if std::env::var("PROBTERM_POLYTOPE_DEBUG").is_ok() {
-            eprintln!(
-                "dim {dimension} facet {i} ({facet}) pivot {pivot} -> facet_volume {facet_volume}"
-            );
-        }
         total += &(&facet.bound / &pivot_coefficient.abs()) * &facet_volume;
     }
     let d = Rational::from_int(dimension as i64);

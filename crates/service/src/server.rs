@@ -2827,10 +2827,12 @@ mod tests {
     #[test]
     fn deadline_bounded_lower_returns_a_partial_sound_bound() {
         let s = server();
-        // gr explores an exponential branching tree: depth 400 cannot finish
-        // within the deadline, but the first terminating paths are found in
-        // microseconds, so the partial bound is nonzero.
-        let gr = "(fix phi x. if sample <= 1/2 then x else phi (phi (phi x))) 0";
+        // gr with a non-affine guard explores an exponential branching tree
+        // and measures every path with the box sweep: depth 400 takes over a
+        // minute in a release build, but the first terminating paths are
+        // found and measured within milliseconds, so the partial bound is
+        // nonzero.
+        let gr = "(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0";
         let request = format!(
             r#"{{"id":1,"op":"lower","program":"{gr}","depth":400,"deadline_ms":120}}"#
         );
@@ -2911,10 +2913,11 @@ mod tests {
     #[test]
     fn partial_lower_checkpoints_and_a_richer_retry_resumes() {
         let s = server();
-        // geo's path tree is a single chain, so its frontier stays tiny, but
-        // its path volumes are high-dimensional polytopes: depth 400 cannot
-        // finish in 120 ms, so the first run truncates with a checkpoint.
-        let geo = "(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0";
+        // geo with a non-affine guard: its path tree is a single chain, so
+        // its frontier stays tiny, but every path is measured by the box
+        // sweep over ever more dimensions. Depth 400 takes over 20 s in a
+        // release build, so the first run truncates with a checkpoint.
+        let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
         let reply = s
             .handle_line(&format!(
                 r#"{{"op":"lower","program":"{geo}","depth":400,"deadline_ms":120}}"#
@@ -2942,7 +2945,7 @@ mod tests {
         // says so and the bound is monotone.
         let reply = s
             .handle_line(&format!(
-                r#"{{"op":"lower","program":"{geo}","depth":400,"deadline_ms":60000}}"#
+                r#"{{"op":"lower","program":"{geo}","depth":400,"deadline_ms":2000}}"#
             ))
             .unwrap();
         let resumed = result_of(&reply);
@@ -3069,7 +3072,8 @@ mod tests {
     #[test]
     fn analyze_reports_partial_results_under_deadline() {
         let s = server();
-        let gr = "(fix phi x. if sample <= 1/2 then x else phi (phi (phi x))) 0";
+        // Over a minute of box sweeps in a release build (see above).
+        let gr = "(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0";
         let reply = s
             .handle_line(&format!(
                 r#"{{"op":"analyze","program":"{gr}","depth":400,"deadline_ms":120}}"#

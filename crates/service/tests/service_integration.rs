@@ -229,10 +229,11 @@ fn deadline_bounded_lower_returns_partial_bounds_over_tcp() {
     let running = server.spawn_tcp("127.0.0.1:0").expect("bind loopback");
     let mut client = Client::connect(running.addr);
 
-    // gr explores an exponentially branching tree: depth 400 cannot complete
-    // within the deadline, but its earliest terminating paths are found in
-    // microseconds.
-    let gr = "(fix phi x. if sample <= 1/2 then x else phi (phi (phi x))) 0";
+    // gr with a non-affine guard explores an exponentially branching tree and
+    // measures every path with the box sweep: depth 400 takes over a minute
+    // in a release build, but its earliest terminating paths are found and
+    // measured within milliseconds.
+    let gr = "(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0";
     let request = format!(
         r#"{{"id":"partial","op":"lower","program":"{gr}","depth":400,"deadline_ms":150}}"#
     );
