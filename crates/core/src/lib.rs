@@ -220,8 +220,7 @@ pub fn try_analyze_budgeted(
     let lower_config = LowerBoundConfig::default()
         .with_depth(config.lower_bound_depth)
         .with_profile(config.profile);
-    let mut lower_check = |_work: usize| check();
-    let (lower, _interruption) = try_lower_bound(term, &lower_config, &mut lower_check);
+    let lower = try_lower_bound(term, &lower_config, None, &mut |_| check()).result;
     complete &= !lower.interrupted;
 
     let (ast, ast_verified, papprox, ast_skipped) = if check().is_err() {

@@ -26,10 +26,11 @@
 //! `--top K`), `paths` (array) and `frontier` (object).
 //!
 //! Each entry of `paths`: `index` (uint, exploration order), `volume` (exact
-//! rational string), `volume_f64`, `method` (`"exact"` | `"box_sweep"` |
-//! `"unmeasured"`), `box_budget` (uint, only for `box_sweep`), `samples`,
-//! `steps` (uints), `branches` (string over `T`/`E`), `constraints` (array of
-//! display strings), `result` (string or null), `witness` (null, or an object
+//! rational string), `volume_f64`, `method` (`"exact"` | `"box_sweep"`; a
+//! sweep that certifies nothing reports `box_sweep` with volume 0),
+//! `box_budget` (uint, only for `box_sweep`), `samples`, `steps` (uints),
+//! `branches` (string over `T`/`E`), `constraints` (array of display
+//! strings), `result` (string or null), `witness` (null, or an object
 //! `{trace: [rational strings], replayed: bool, replay_steps: uint|null}`).
 //!
 //! `frontier`: `paused`, `stuck` (uints), `interrupted` (bool),
@@ -142,7 +143,6 @@ fn method_str(method: VolumeMethod) -> &'static str {
     match method {
         VolumeMethod::Exact => "exact",
         VolumeMethod::BoxSweep { .. } => "box_sweep",
-        VolumeMethod::Unmeasured => "unmeasured",
     }
 }
 

@@ -42,9 +42,8 @@ pub use iterm::{
     IntervalTrace,
 };
 pub use lowerbound::{
-    lower_bound, lower_bound_profile, try_lower_bound, try_lower_bound_measured,
-    try_lower_bound_resumable, LowerBoundCheckpoint, LowerBoundConfig, LowerBoundResult,
-    PathMeasure, VolumeMethod,
+    lower_bound, try_lower_bound, LowerBoundCheckpoint, LowerBoundConfig, LowerBoundResult,
+    LowerBoundRun, PathMeasure, Poll, VolumeMethod,
 };
 pub use past::{
     divergence_ratio, expected_steps_profile, refute_past_bound, ExpectedStepsPoint, PastProbe,
@@ -54,8 +53,7 @@ pub use provenance::{
     explain, try_explain, ExplainConfig, FrontierSummary, PathProvenance, Provenance, Witness,
 };
 pub use symbolic::{
-    explore, explore_substitution, frontier_seeds, try_explore, try_explore_seeded,
-    try_explore_seeded_progress, Branch,
-    ConstraintKind, Exploration, ExplorationConfig, FrontierPath, ReplaySeed, SymConstraint,
-    SymValue, SymbolicPath,
+    explore, explore_substitution, frontier_seeds, try_explore_seeded, Branch, ConstraintKind,
+    Exploration, ExplorationConfig, FrontierPath, ReplaySeed, SymConstraint, SymValue,
+    SymbolicPath,
 };

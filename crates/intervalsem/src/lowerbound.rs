@@ -22,20 +22,19 @@
 //! completed run would certify.
 
 use crate::symbolic::{
-    frontier_seeds, try_explore_seeded_progress, Exploration, ExplorationConfig, ReplaySeed,
-    SymbolicPath,
+    frontier_seeds, try_explore_seeded, Exploration, ExplorationConfig, ReplaySeed, SymbolicPath,
 };
 use probterm_numerics::Rational;
 use probterm_spcf::Term;
-use probterm_telemetry::{EngineProfile, ProgressCell};
-use std::sync::Arc;
+use probterm_telemetry::EngineProfile;
 use std::time::{Duration, Instant};
 
 /// How the volume contribution of one terminated symbolic path was computed.
 ///
-/// Recorded per path by [`try_lower_bound_measured`] and surfaced verbatim in
-/// the provenance artifact ([`crate::provenance`]), so a reported bound can be
-/// audited path by path.
+/// Recorded per path by [`try_lower_bound`] and surfaced verbatim in the
+/// provenance artifact ([`crate::provenance`]), so a reported bound can be
+/// audited path by path. An interrupted sweep reports its sound partial sum
+/// as `BoxSweep`; a sweep that certifies nothing reports volume 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VolumeMethod {
     /// Exact polytope volume — the constraint system is affine.
@@ -46,12 +45,6 @@ pub enum VolumeMethod {
         /// The box budget the sweep ran with.
         max_boxes: usize,
     },
-    /// Not measured. Kept for provenance-artifact compatibility: since
-    /// measurement moved *into* the exploration loop (every path is measured
-    /// the instant it terminates, with an interruptible sweep), the engine no
-    /// longer produces this variant — an interrupted sweep reports its sound
-    /// partial sum as `BoxSweep` instead of discarding it.
-    Unmeasured,
 }
 
 /// The volume contribution of one terminated path, aligned index-for-index
@@ -64,11 +57,35 @@ pub struct PathMeasure {
     pub method: VolumeMethod,
 }
 
+/// What the engine tells its poll hook. Every interruptible engine entry
+/// point ([`try_lower_bound`], [`crate::try_explore_seeded`],
+/// [`crate::try_explain`]) calls one hook with one of these; a failing hook
+/// stops the run, which still returns its sound partial result.
+#[derive(Debug, Clone, Copy)]
+pub enum Poll<'a> {
+    /// Exploration progress, once before each path and every 256 work units
+    /// within long paths: the monotone work counter, the number of paths
+    /// waiting in the queue and the current path's step count.
+    Explore {
+        /// Monotone exploration work counter.
+        work: usize,
+        /// Paths waiting in the breadth-first queue.
+        frontier: usize,
+        /// Small steps taken by the current path.
+        depth: usize,
+    },
+    /// A box sweep is under way; sent every 64 boxes.
+    Sweep,
+    /// A terminated path's volume just landed (sent by [`try_lower_bound`]
+    /// only, once per path, in `Exploration::terminated` order).
+    Measured(&'a PathMeasure),
+}
+
 /// Configuration of the lower-bound computation.
 ///
 /// All defaults live here; the CLI, the analysis service and the benchmark
 /// harness derive their configurations through the `with_*` builders.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LowerBoundConfig {
     /// Exploration depth: the maximum number of small steps per symbolic path
     /// (the column `d` of Table 1).
@@ -80,39 +97,13 @@ pub struct LowerBoundConfig {
     /// When `true`, the underlying exploration attaches a machine profile,
     /// reported in [`LowerBoundResult::profile`].
     pub profile: bool,
-    /// Live-progress cell the engine publishes into at its cooperative-check
-    /// poll points (steps, frontier, depth) and on every path termination
-    /// (path count, monotone bound). `None` — the default — costs one
-    /// `Option` check at each poll point, guarded by the telemetry overhead
-    /// test.
-    pub progress: Option<Arc<ProgressCell>>,
 }
 
 impl Default for LowerBoundConfig {
     fn default() -> Self {
-        LowerBoundConfig {
-            depth: 200,
-            max_paths: 50_000,
-            boxes_per_path: 2_000,
-            profile: false,
-            progress: None,
-        }
+        LowerBoundConfig { depth: 200, max_paths: 50_000, boxes_per_path: 2_000, profile: false }
     }
 }
-
-/// Equality compares the *analysis* parameters; the progress handle is an
-/// observer, not part of the configured analysis (two configs differing only
-/// in where they publish progress compute identical results).
-impl PartialEq for LowerBoundConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.depth == other.depth
-            && self.max_paths == other.max_paths
-            && self.boxes_per_path == other.boxes_per_path
-            && self.profile == other.profile
-    }
-}
-
-impl Eq for LowerBoundConfig {}
 
 impl LowerBoundConfig {
     /// Builder: sets the exploration depth.
@@ -143,17 +134,6 @@ impl LowerBoundConfig {
         self
     }
 
-    /// Builder: attaches a live-progress cell. The engine publishes
-    /// steps/frontier/depth at its cooperative-check poll points and the
-    /// monotone bound-so-far the instant each path's volume lands, so
-    /// concurrent observers (the analysis service's `inspect` op, streamed
-    /// progress frames) see a consistent, never-regressing view mid-run.
-    #[must_use]
-    pub fn with_progress(mut self, progress: Arc<ProgressCell>) -> Self {
-        self.progress = Some(progress);
-        self
-    }
-
     /// The exploration configuration this lower-bound configuration induces.
     pub fn exploration(&self) -> ExplorationConfig {
         ExplorationConfig::default()
@@ -179,9 +159,9 @@ pub struct LowerBoundResult {
     pub unexplored_paths: usize,
     /// Number of stuck paths (score failures, domain errors).
     pub stuck_paths: usize,
-    /// `true` when the computation was cancelled by the cooperative check of
-    /// [`try_lower_bound`] before it finished. The bounds are still sound —
-    /// partial explorations only lose mass (Thm. 3.4).
+    /// `true` when the poll hook of [`try_lower_bound`] cancelled the
+    /// computation before it finished. The bounds are still sound — partial
+    /// explorations only lose mass (Thm. 3.4).
     pub interrupted: bool,
     /// Monotonic elapsed time of the computation (measured on
     /// `std::time::Instant`).
@@ -197,70 +177,6 @@ impl LowerBoundResult {
     pub fn probability_decimal(&self, digits: usize) -> String {
         self.probability.to_decimal_string(digits)
     }
-}
-
-/// Computes a lower bound on the termination probability of a closed SPCF
-/// term under call-by-name evaluation.
-///
-/// # Examples
-///
-/// ```
-/// use probterm_intervalsem::{lower_bound, LowerBoundConfig};
-/// use probterm_numerics::Rational;
-/// use probterm_spcf::parse_term;
-///
-/// let geo = parse_term("(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0").unwrap();
-/// let result = lower_bound(&geo, &LowerBoundConfig::default().with_depth(120));
-/// assert!(result.probability > Rational::from_ratio(99, 100));
-/// assert!(result.probability < Rational::one());
-/// ```
-pub fn lower_bound(term: &Term, config: &LowerBoundConfig) -> LowerBoundResult {
-    let (result, interrupted) =
-        try_lower_bound::<std::convert::Infallible>(term, config, &mut |_| Ok(()));
-    debug_assert!(interrupted.is_none());
-    result
-}
-
-/// Like [`lower_bound`], but calls `check(work)` periodically — inside the
-/// symbolic exploration and between per-path volume computations — and stops
-/// early with its error when it fails.
-///
-/// The returned result then carries `interrupted: true` together with the
-/// **sound partial bound** accumulated so far: every terminating path found
-/// before the interruption certifies its probability mass (Thm. 3.4), so a
-/// deadline-bounded caller still gets a nonzero monotone lower bound instead
-/// of nothing. Volumes are measured *incrementally, inside the exploration
-/// loop*, the instant each path terminates — there is no deadline-blind
-/// post-hoc measurement phase, and even the non-affine box sweep is
-/// interruptible mid-flight (its partial sum stays counted). The bound
-/// therefore tightens monotonically in real time and the engine can stop
-/// within one check interval of any step.
-pub fn try_lower_bound<E>(
-    term: &Term,
-    config: &LowerBoundConfig,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (LowerBoundResult, Option<E>) {
-    let (result, _, _, interruption) = try_lower_bound_measured(term, config, check);
-    (result, interruption)
-}
-
-/// The full-fidelity variant of [`try_lower_bound`]: additionally returns the
-/// underlying [`Exploration`] (terminated paths, stuck tally, abandoned
-/// frontier) and one [`PathMeasure`] per terminated path, aligned
-/// index-for-index with `Exploration::terminated`.
-///
-/// This is the single measuring loop both the lower-bound engine and the
-/// provenance layer run on, which is what makes the provenance artifact's
-/// per-path volumes sum *exactly* (rational arithmetic, no float drift) to
-/// [`LowerBoundResult::probability`] — they are the same numbers.
-pub fn try_lower_bound_measured<E>(
-    term: &Term,
-    config: &LowerBoundConfig,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (LowerBoundResult, Exploration, Vec<PathMeasure>, Option<E>) {
-    let (result, _, exploration, measures, interruption) =
-        run_accumulated(term, config, None, check);
-    (result, exploration, measures, interruption)
 }
 
 /// A paused lower-bound computation, complete enough to *resume*: the mass
@@ -290,154 +206,128 @@ pub struct LowerBoundCheckpoint {
     pub frontier: Vec<ReplaySeed>,
 }
 
-/// Like [`try_lower_bound`], but resumable: pass `resume = Some(checkpoint)`
-/// to continue a previously interrupted computation from its saved frontier
-/// instead of recomputing from scratch. Returns the (cumulative) result, a
-/// fresh checkpoint for the *next* resume, and the interruption error if the
-/// cooperative check fired.
-///
-/// The result's tallies are cumulative — they include the checkpointed
-/// mass — so callers can treat a resumed reply exactly like a from-scratch
-/// one. `max_paths` is a per-run safety valve and starts afresh each resume.
-pub fn try_lower_bound_resumable<E>(
-    term: &Term,
-    config: &LowerBoundConfig,
-    resume: Option<&LowerBoundCheckpoint>,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (LowerBoundResult, LowerBoundCheckpoint, Option<E>) {
-    let (result, checkpoint, _, _, interruption) = run_accumulated(term, config, resume, check);
-    (result, checkpoint, interruption)
+/// Everything one [`try_lower_bound`] run produces.
+#[derive(Debug, Clone)]
+pub struct LowerBoundRun<E> {
+    /// The (cumulative, when resumed) bound and tallies.
+    pub result: LowerBoundResult,
+    /// The checkpoint a later run resumes from.
+    pub checkpoint: LowerBoundCheckpoint,
+    /// This run's exploration: terminated paths, stuck tally, frontier.
+    pub exploration: Exploration,
+    /// One measure per path of `exploration.terminated`, index for index.
+    pub measures: Vec<PathMeasure>,
+    /// The poll hook's error, when it stopped the run.
+    pub interruption: Option<E>,
 }
 
-/// The single engine core: seeded exploration with in-loop measurement,
-/// cumulative accounting, checkpoint construction.
-fn run_accumulated<E>(
+/// Computes a lower bound on the termination probability of a closed SPCF
+/// term under call-by-name evaluation.
+///
+/// # Examples
+///
+/// ```
+/// use probterm_intervalsem::{lower_bound, LowerBoundConfig};
+/// use probterm_numerics::Rational;
+/// use probterm_spcf::parse_term;
+///
+/// let geo = parse_term("(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0").unwrap();
+/// let result = lower_bound(&geo, &LowerBoundConfig::default().with_depth(120));
+/// assert!(result.probability > Rational::from_ratio(99, 100));
+/// assert!(result.probability < Rational::one());
+/// ```
+pub fn lower_bound(term: &Term, config: &LowerBoundConfig) -> LowerBoundResult {
+    let run = try_lower_bound::<std::convert::Infallible>(term, config, None, &mut |_| Ok(()));
+    debug_assert!(run.interruption.is_none());
+    run.result
+}
+
+/// The lower-bound engine: [`lower_bound`] with a resume point and a poll
+/// hook.
+///
+/// * `resume` — `Some(checkpoint)` continues an interrupted computation from
+///   its saved frontier instead of recomputing from scratch. The result's
+///   tallies are cumulative (they include the checkpointed mass), so a
+///   resumed result reads exactly like a from-scratch one. `max_paths` is a
+///   per-run safety valve and starts afresh each resume.
+/// * `poll` — called at every cooperative poll point ([`Poll::Explore`],
+///   [`Poll::Sweep`]) and once per terminated path the instant its volume
+///   lands ([`Poll::Measured`]). When it fails the run stops with its error
+///   and carries `interrupted: true` together with the **sound partial
+///   bound** accumulated so far: every terminating path found before the
+///   interruption certifies its probability mass (Thm. 3.4). Volumes are
+///   measured inside the exploration loop, and even the non-affine box sweep
+///   is interruptible mid-flight (its partial sum stays counted), so the
+///   bound tightens monotonically in real time and the engine stops within
+///   one poll interval of any step.
+///
+/// The returned measures are the very numbers the bound sums, which is what
+/// makes the provenance artifact's per-path volumes add up *exactly* to
+/// [`LowerBoundResult::probability`].
+pub fn try_lower_bound<E>(
     term: &Term,
     config: &LowerBoundConfig,
     resume: Option<&LowerBoundCheckpoint>,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (LowerBoundResult, LowerBoundCheckpoint, Exploration, Vec<PathMeasure>, Option<E>) {
+    poll: &mut dyn FnMut(Poll<'_>) -> Result<(), E>,
+) -> LowerBoundRun<E> {
     let start = Instant::now();
+    let boxes_per_path = config.boxes_per_path;
+    let mut measures: Vec<PathMeasure> = Vec::new();
+    let mut on_terminated = |path: &SymbolicPath,
+                             poll: &mut dyn FnMut(Poll<'_>) -> Result<(), E>|
+     -> Result<(), E> {
+        // An interrupted sweep keeps its partial sum: boxes already proven
+        // inside the region are sound mass.
+        let (measure, failed) = match path.exact_probability() {
+            Some(volume) => (PathMeasure { volume, method: VolumeMethod::Exact }, None),
+            None => {
+                let (volume, failed) = path.try_box_lower_bound(boxes_per_path, poll);
+                let method = VolumeMethod::BoxSweep { max_boxes: boxes_per_path };
+                (PathMeasure { volume, method }, failed)
+            }
+        };
+        let measured = poll(Poll::Measured(&measure));
+        measures.push(measure);
+        match failed {
+            Some(e) => Err(e),
+            None => measured,
+        }
+    };
     let seeds = resume.map(|c| c.frontier.as_slice());
-    // A resumed run's live bound starts from the checkpointed mass, so the
-    // streamed/inspected progress stays monotone across the resume chain.
-    let prior = resume.map_or((Rational::zero(), 0), |c| (c.probability.clone(), c.paths));
-    let (exploration, measures, interruption) = run_measured(term, config, seeds, prior, check);
+    let (exploration, interruption) =
+        try_explore_seeded(term, &config.exploration(), seeds, poll, &mut on_terminated);
     let mut probability = Rational::zero();
     let mut expected_steps = Rational::zero();
-    let mut measured = 0usize;
-    let mut unmeasured = 0usize;
     for (path, measure) in exploration.terminated.iter().zip(&measures) {
-        if measure.method == VolumeMethod::Unmeasured {
-            unmeasured += 1;
-            continue;
-        }
         expected_steps += &measure.volume * &Rational::from_int(path.steps as i64);
         probability += measure.volume.clone();
-        measured += 1;
     }
+    let mut paths = exploration.terminated.len();
     let mut stuck = exploration.stuck;
     if let Some(prior) = resume {
         probability += prior.probability.clone();
         expected_steps += prior.expected_steps.clone();
-        measured += prior.paths;
+        paths += prior.paths;
         stuck += prior.stuck_paths;
     }
     let checkpoint = LowerBoundCheckpoint {
         probability: probability.clone(),
         expected_steps: expected_steps.clone(),
-        paths: measured,
+        paths,
         stuck_paths: stuck,
         frontier: frontier_seeds(&exploration.frontier),
     };
     let result = LowerBoundResult {
         probability,
         expected_steps,
-        paths: measured,
-        unexplored_paths: exploration.out_of_fuel + unmeasured,
+        paths,
+        unexplored_paths: exploration.out_of_fuel,
         stuck_paths: stuck,
         interrupted: exploration.interrupted || interruption.is_some(),
         elapsed: start.elapsed(),
         profile: exploration.profile.clone(),
     };
-    (result, checkpoint, exploration, measures, interruption)
-}
-
-/// Seeded exploration with the measuring hook folded into the explore loop:
-/// every terminating path is measured the moment it terminates (exact
-/// polytope volume when affine, interruptible box sweep otherwise), so
-/// `measures` is always aligned index-for-index with
-/// `exploration.terminated` — even across interruptions.
-fn run_measured<E>(
-    term: &Term,
-    config: &LowerBoundConfig,
-    seeds: Option<&[ReplaySeed]>,
-    prior: (Rational, usize),
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (Exploration, Vec<PathMeasure>, Option<E>) {
-    let boxes_per_path = config.boxes_per_path;
-    let progress = config.progress.as_deref();
-    let mut measures: Vec<PathMeasure> = Vec::new();
-    let (prior_mass, prior_paths) = prior;
-    // Live-bound accumulator: floats here only feed the progress display
-    // (the result itself stays exact rational); the cell's fixed-point
-    // ratchet keeps the published bound monotone regardless of drift.
-    let mut live_bound = prior_mass.to_f64();
-    let mut live_paths = prior_paths as u64;
-    if let Some(cell) = progress {
-        cell.publish_terminated(live_paths, live_bound);
-    }
-    let (exploration, interruption) = {
-        let measures = &mut measures;
-        let mut on_terminated = move |path: &SymbolicPath,
-                                      check: &mut dyn FnMut(usize) -> Result<(), E>|
-              -> Result<(), E> {
-            let outcome = match path.exact_probability() {
-                Some(volume) => {
-                    measures.push(PathMeasure { volume, method: VolumeMethod::Exact });
-                    Ok(())
-                }
-                None => {
-                    // An interrupted sweep keeps its partial sum: boxes
-                    // already proven inside the region are sound mass.
-                    let (volume, failed) = path.try_box_lower_bound(boxes_per_path, check);
-                    measures.push(PathMeasure {
-                        volume,
-                        method: VolumeMethod::BoxSweep { max_boxes: boxes_per_path },
-                    });
-                    match failed {
-                        Some(e) => Err(e),
-                        None => Ok(()),
-                    }
-                }
-            };
-            if let Some(cell) = progress {
-                live_bound += measures.last().expect("just pushed").volume.to_f64();
-                live_paths += 1;
-                cell.publish_terminated(live_paths, live_bound);
-            }
-            outcome
-        };
-        try_explore_seeded_progress(
-            term,
-            &config.exploration(),
-            seeds,
-            progress,
-            check,
-            &mut on_terminated,
-        )
-    };
-    (exploration, measures, interruption)
-}
-
-/// Computes lower bounds at several increasing depths, demonstrating the
-/// anytime nature of the procedure (each bound is sound, and they are
-/// monotonically non-decreasing in the depth).
-pub fn lower_bound_profile(term: &Term, depths: &[usize]) -> Vec<(usize, LowerBoundResult)> {
-    depths
-        .iter()
-        .map(|d| (*d, lower_bound(term, &LowerBoundConfig::default().with_depth(*d))))
-        .collect()
+    LowerBoundRun { result, checkpoint, exploration, measures, interruption }
 }
 
 #[cfg(test)]
@@ -534,15 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_is_monotone_in_depth() {
-        let term = parse_term("(fix phi x. if sample <= 1/3 then x else phi (x + 1)) 0").unwrap();
-        let profile = lower_bound_profile(&term, &[20, 60, 120]);
-        assert_eq!(profile.len(), 3);
-        assert!(profile[0].1.probability <= profile[1].1.probability);
-        assert!(profile[1].1.probability <= profile[2].1.probability);
-    }
-
-    #[test]
     fn decimal_rendering_matches_table_format() {
         let r = lb("if sample <= 1/3 then 0 else 1", 50);
         assert_eq!(r.probability, Rational::one());
@@ -556,14 +437,15 @@ mod tests {
         let full = lower_bound(&geo, &config);
         // Cancel after a small fixed amount of exploration work.
         let mut budget = 8usize;
-        let (partial, err) = try_lower_bound(&geo, &config, &mut |_| {
-            if budget == 0 {
-                Err("deadline exceeded")
-            } else {
-                budget -= 1;
-                Ok(())
-            }
-        });
+        let LowerBoundRun { result: partial, interruption: err, .. } =
+            try_lower_bound(&geo, &config, None, &mut |_| {
+                if budget == 0 {
+                    Err("deadline exceeded")
+                } else {
+                    budget -= 1;
+                    Ok(())
+                }
+            });
         assert_eq!(err, Some("deadline exceeded"));
         assert!(partial.interrupted);
         assert!(partial.probability > Rational::zero(), "partial bound must be nonzero");
@@ -588,24 +470,30 @@ mod tests {
         let full = lower_bound(&geo, &config);
         // Interrupt early, then resume to completion from the checkpoint.
         let mut budget = 10usize;
-        let (partial, checkpoint, err) = try_lower_bound_resumable(&geo, &config, None, &mut |_| {
-            if budget == 0 {
-                Err("deadline exceeded")
-            } else {
-                budget -= 1;
-                Ok(())
-            }
-        });
+        let LowerBoundRun { result: partial, checkpoint, interruption: err, .. } =
+            try_lower_bound(&geo, &config, None, &mut |poll| {
+                // Spend the budget on exploration and sweep polls only.
+                if matches!(poll, Poll::Measured(_)) {
+                    return Ok(());
+                }
+                if budget == 0 {
+                    Err("deadline exceeded")
+                } else {
+                    budget -= 1;
+                    Ok(())
+                }
+            });
         assert_eq!(err, Some("deadline exceeded"));
         assert!(partial.interrupted);
         assert!(!checkpoint.frontier.is_empty(), "interrupted run must leave a frontier");
         assert_eq!(checkpoint.probability, partial.probability);
-        let (resumed, done, err2) = try_lower_bound_resumable::<std::convert::Infallible>(
-            &geo,
-            &config,
-            Some(&checkpoint),
-            &mut |_| Ok(()),
-        );
+        let LowerBoundRun { result: resumed, checkpoint: done, interruption: err2, .. } =
+            try_lower_bound::<std::convert::Infallible>(
+                &geo,
+                &config,
+                Some(&checkpoint),
+                &mut |_| Ok(()),
+            );
         assert!(err2.is_none());
         assert!(!resumed.interrupted);
         // What is left to resume is exactly what a from-scratch run leaves:
@@ -637,18 +525,17 @@ mod tests {
         // are re-tallied directly and the result matches the original run.
         let geo = parse_term("(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0").unwrap();
         let config = LowerBoundConfig::default().with_depth(40).with_profile(true);
-        let (first, checkpoint, err) =
-            try_lower_bound_resumable::<std::convert::Infallible>(&geo, &config, None, &mut |_| {
-                Ok(())
-            });
+        let LowerBoundRun { result: first, checkpoint, interruption: err, .. } =
+            try_lower_bound::<std::convert::Infallible>(&geo, &config, None, &mut |_| Ok(()));
         assert!(err.is_none());
         assert!(!checkpoint.frontier.is_empty(), "depth 40 leaves out-of-fuel paths");
-        let (again, checkpoint2, err2) = try_lower_bound_resumable::<std::convert::Infallible>(
-            &geo,
-            &config,
-            Some(&checkpoint),
-            &mut |_| Ok(()),
-        );
+        let LowerBoundRun { result: again, checkpoint: checkpoint2, interruption: err2, .. } =
+            try_lower_bound::<std::convert::Infallible>(
+                &geo,
+                &config,
+                Some(&checkpoint),
+                &mut |_| Ok(()),
+            );
         assert!(err2.is_none());
         // No new mass at the same depth; the frontier survives verbatim.
         assert_eq!(again.probability, first.probability);

@@ -9,7 +9,7 @@
 //!
 //! Attribution is *by construction* exact: the provenance layer runs the same
 //! measuring loop as the lower-bound engine
-//! ([`crate::try_lower_bound_measured`]), so the per-path volumes are the very
+//! ([`crate::try_lower_bound`]), so the per-path volumes are the very
 //! rationals whose sum is [`LowerBoundResult::probability`] — the soundness
 //! suite asserts `Rational` equality, not float closeness.
 //!
@@ -21,7 +21,7 @@
 //! just a symbolic one.
 
 use crate::lowerbound::{
-    try_lower_bound_measured, LowerBoundConfig, LowerBoundResult, VolumeMethod,
+    try_lower_bound, LowerBoundConfig, LowerBoundResult, LowerBoundRun, Poll, VolumeMethod,
 };
 use crate::symbolic::{Branch, FrontierPath, SymConstraint, SymValue, SymbolicPath};
 use probterm_numerics::Rational;
@@ -193,10 +193,10 @@ pub fn explain(term: &Term, config: &ExplainConfig) -> Provenance {
 pub fn try_explain<E>(
     term: &Term,
     config: &ExplainConfig,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
+    check: &mut dyn FnMut(Poll<'_>) -> Result<(), E>,
 ) -> (Provenance, Option<E>) {
-    let (result, exploration, measures, interruption) =
-        try_lower_bound_measured(term, &config.lower, check);
+    let LowerBoundRun { result, exploration, measures, interruption, .. } =
+        try_lower_bound(term, &config.lower, None, check);
     let witness_boxes = if interruption.is_some() {
         config.witness_boxes.min(256)
     } else {

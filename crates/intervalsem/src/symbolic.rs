@@ -43,16 +43,18 @@
 //!
 //! # Interruption
 //!
-//! [`try_explore`] threads a cooperative check through the exploration loop,
-//! so a caller (the analysis service enforcing `deadline_ms`) can cancel
-//! *mid-exploration* and still receive every path terminated so far — a
-//! sound, monotonically improvable partial result by Theorem 3.4.
+//! [`try_explore_seeded`] threads one poll hook through the exploration loop,
+//! so a caller (the analysis service enforcing `deadline_ms`) can observe
+//! progress and cancel *mid-exploration*, and still receive every path
+//! terminated so far — a sound, monotonically improvable partial result by
+//! Theorem 3.4.
 
+use crate::lowerbound::Poll;
 use probterm_numerics::{Interval, IntervalBox, Rational};
 use probterm_polytope::UnitCubePolytope;
 use probterm_spcf::absmachine::{DomainSpec, Event, Machine, NoAtom};
 use probterm_spcf::{Ident, Prim, Strategy, Term};
-use probterm_telemetry::{EngineProfile, ProfileCell, ProgressCell};
+use probterm_telemetry::{EngineProfile, ProfileCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
@@ -479,8 +481,8 @@ impl SymbolicPath {
             .0
     }
 
-    /// Interruptible [`SymbolicPath::box_lower_bound`]: `check(work)` runs
-    /// periodically during the sweep and, when it fails, the partial sum
+    /// Interruptible [`SymbolicPath::box_lower_bound`]: `check(Poll::Sweep)`
+    /// runs every 64 boxes of the sweep and, when it fails, the partial sum
     /// accumulated so far is returned together with the error. Boxes already
     /// proven inside the region stay counted — a truncated sweep is still a
     /// sound lower bound, just a looser one, so deadline-bounded measurement
@@ -488,7 +490,7 @@ impl SymbolicPath {
     pub fn try_box_lower_bound<E>(
         &self,
         max_boxes: usize,
-        check: &mut dyn FnMut(usize) -> Result<(), E>,
+        check: &mut dyn FnMut(Poll<'_>) -> Result<(), E>,
     ) -> (Rational, Option<E>) {
         let mut total = Rational::zero();
         let mut queue: VecDeque<IntervalBox> = VecDeque::new();
@@ -500,7 +502,7 @@ impl SymbolicPath {
                 break;
             }
             if processed % 64 == 0 {
-                if let Err(e) = check(processed) {
+                if let Err(e) = check(Poll::Sweep) {
                     return (total, Some(e));
                 }
             }
@@ -720,10 +722,10 @@ pub struct Exploration {
     pub frontier: Vec<FrontierPath>,
     /// Number of paths that got stuck.
     pub stuck: usize,
-    /// `true` when the exploration was cancelled by the cooperative check of
-    /// [`try_explore`]. The `terminated` paths collected up to that point are
-    /// still sound (Theorem 3.4): interruption only loses bound mass, never
-    /// adds unsound mass.
+    /// `true` when the exploration was cancelled by the poll hook of
+    /// [`try_explore_seeded`]. The `terminated` paths collected up to that
+    /// point are still sound (Theorem 3.4): interruption only loses bound
+    /// mass, never adds unsound mass.
     pub interrupted: bool,
     /// Machine profile of the run (steps, event kinds, forks, max BFS
     /// frontier), present iff [`ExplorationConfig::profile`] was set. The
@@ -965,29 +967,19 @@ impl PathState<'_> {
 /// Explores the CbN symbolic execution tree of a closed term breadth-first,
 /// collecting every path that reaches a value within the budget.
 pub fn explore(term: &Term, config: &ExplorationConfig) -> Exploration {
-    let (exploration, interrupted) =
-        try_explore::<std::convert::Infallible>(term, config, &mut |_| Ok(()));
+    let (exploration, interrupted) = try_explore_seeded::<std::convert::Infallible>(
+        term,
+        config,
+        None,
+        &mut |_| Ok(()),
+        &mut |_, _| Ok(()),
+    );
     debug_assert!(interrupted.is_none());
     exploration
 }
 
-/// Like [`explore`], but calls `check(work)` with a monotone work counter —
-/// once before each path and periodically *within* long paths — and stops
-/// early with its error when it fails.
-///
-/// The returned [`Exploration`] contains every path that terminated before
-/// the interruption (a sound partial result); abandoned paths are tallied in
-/// `out_of_fuel` and `interrupted` is set. This is the hook through which the
-/// analysis service enforces per-request deadlines mid-exploration.
-pub fn try_explore<E>(
-    term: &Term,
-    config: &ExplorationConfig,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (Exploration, Option<E>) {
-    try_explore_seeded(term, config, None, check, &mut |_, _| Ok(()))
-}
-
-/// The resumable, incrementally-measuring variant of [`try_explore`].
+/// Like [`explore`], but resumable, incrementally measuring and
+/// interruptible.
 ///
 /// * `seeds` — `None` starts a fresh exploration from the root;
 ///   `Some(seeds)` *resumes* a checkpointed one: each seed is replayed
@@ -997,47 +989,29 @@ pub fn try_explore<E>(
 ///   with the checkpointed run's tallies reproduces a from-scratch run —
 ///   terminated paths partition identically, and no measured path is ever
 ///   re-explored.
+/// * `check` — the poll hook, called with [`Poll::Explore`] (work counter,
+///   frontier size, current path depth) once before each path and every 256
+///   work units within long paths. When it fails, exploration stops with its
+///   error: the returned [`Exploration`] contains every path that terminated
+///   before the interruption (a sound partial result), abandoned paths are
+///   tallied in `out_of_fuel` and `interrupted` is set.
 /// * `on_terminated` — called with every path the instant it terminates,
 ///   *before* exploration continues, so callers can measure path volumes
-///   incrementally instead of post-hoc. It receives the cooperative check
-///   as its second argument (for deadline-aware measurement); returning an
-///   error interrupts the exploration exactly like a failing `check`: the
-///   queue drains to the frontier and the partial result stays sound.
+///   incrementally instead of post-hoc. It receives the poll hook as its
+///   second argument (for deadline-aware measurement); returning an error
+///   interrupts the exploration exactly like a failing `check`: the queue
+///   drains to the frontier and the partial result stays sound.
 ///
-/// With `seeds = None` and a no-op hook this is exactly [`try_explore`] —
-/// the differential suite's guarantee carries over unchanged.
+/// With `seeds = None` and no-op hooks this is exactly [`explore`] — the
+/// differential suite's guarantee carries over unchanged.
 pub fn try_explore_seeded<'t, E>(
     term: &'t Term,
     config: &ExplorationConfig,
     seeds: Option<&[ReplaySeed]>,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
+    check: &mut dyn FnMut(Poll<'_>) -> Result<(), E>,
     on_terminated: &mut dyn FnMut(
         &SymbolicPath,
-        &mut dyn FnMut(usize) -> Result<(), E>,
-    ) -> Result<(), E>,
-) -> (Exploration, Option<E>) {
-    try_explore_seeded_progress(term, config, seeds, None, check, on_terminated)
-}
-
-/// Like [`try_explore_seeded`], but additionally publishes live progress
-/// (work counter, frontier size, current path depth) into `progress` at the
-/// existing cooperative-check poll points — once per path plus every 256
-/// work units within long paths. When `progress` is `None` the cost is a
-/// single `Option` discriminant check per poll point; the overhead guard in
-/// `crates/bench` holds the disabled path to within 5% of baseline.
-///
-/// Terminated-path counts and the monotone bound are published by the
-/// *measuring* caller ([`try_lower_bound`](crate::try_lower_bound) and
-/// friends), which alone knows path volumes.
-pub fn try_explore_seeded_progress<'t, E>(
-    term: &'t Term,
-    config: &ExplorationConfig,
-    seeds: Option<&[ReplaySeed]>,
-    progress: Option<&ProgressCell>,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-    on_terminated: &mut dyn FnMut(
-        &SymbolicPath,
-        &mut dyn FnMut(usize) -> Result<(), E>,
+        &mut dyn FnMut(Poll<'_>) -> Result<(), E>,
     ) -> Result<(), E>,
 ) -> (Exploration, Option<E>) {
     let profile = config.profile.then(ProfileCell::shared);
@@ -1090,10 +1064,8 @@ pub fn try_explore_seeded_progress<'t, E>(
             result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
             break;
         }
-        if let Some(cell) = progress {
-            cell.publish_exploration(work as u64, queue.len() as u64, path.machine.steps() as u64);
-        }
-        if let Err(e) = check(work) {
+        let poll = Poll::Explore { work, frontier: queue.len(), depth: path.machine.steps() };
+        if let Err(e) = check(poll) {
             result.interrupted = true;
             result.out_of_fuel += 1 + queue.len();
             result.frontier.push(path.into_frontier());
@@ -1104,14 +1076,9 @@ pub fn try_explore_seeded_progress<'t, E>(
         loop {
             work += 1;
             if work % 256 == 0 {
-                if let Some(cell) = progress {
-                    cell.publish_exploration(
-                        work as u64,
-                        queue.len() as u64,
-                        path.machine.steps() as u64,
-                    );
-                }
-                if let Err(e) = check(work) {
+                let poll =
+                    Poll::Explore { work, frontier: queue.len(), depth: path.machine.steps() };
+                if let Err(e) = check(poll) {
                     result.interrupted = true;
                     result.out_of_fuel += 1 + queue.len();
                     result.frontier.push(path.into_frontier());
@@ -1654,14 +1621,16 @@ mod tests {
         let config = ExplorationConfig::default().with_max_steps_per_path(150);
         let full = explore(&term, &config);
         let mut budget = 6usize;
-        let (first, err) = try_explore(&term, &config, &mut |_| {
+        let mut check = |_: Poll<'_>| {
             if budget == 0 {
                 Err(())
             } else {
                 budget -= 1;
                 Ok(())
             }
-        });
+        };
+        let (first, err) =
+            try_explore_seeded(&term, &config, None, &mut check, &mut |_, _| Ok(()));
         assert!(err.is_some());
         assert!(first.interrupted && !first.frontier.is_empty());
         let seeds = frontier_seeds(&first.frontier);
@@ -2024,14 +1993,16 @@ mod tests {
         let config = ExplorationConfig::default().with_max_steps_per_path(400);
         // Interrupt after a couple of terminated paths' worth of work.
         let mut budget = 6usize;
-        let (partial, err) = try_explore(&term, &config, &mut |_work| {
+        let mut check = |_: Poll<'_>| {
             if budget == 0 {
                 Err("deadline")
             } else {
                 budget -= 1;
                 Ok(())
             }
-        });
+        };
+        let (partial, err) =
+            try_explore_seeded(&term, &config, None, &mut check, &mut |_, _| Ok(()));
         assert_eq!(err, Some("deadline"));
         assert!(partial.interrupted);
         let full = explore(&term, &config);

@@ -13,9 +13,7 @@
 //!   where every abandoned frontier region and box-sweep residue carries
 //!   positive mass).
 
-use probterm_intervalsem::{
-    explain, lower_bound, ExplainConfig, LowerBoundConfig, Provenance, VolumeMethod,
-};
+use probterm_intervalsem::{explain, lower_bound, ExplainConfig, LowerBoundConfig, Provenance};
 use probterm_numerics::Rational;
 use probterm_spcf::{catalog, Prim, Term};
 use proptest::prelude::*;
@@ -49,10 +47,6 @@ fn check_provenance(name: &str, term: &Term, lower: &LowerBoundConfig) -> Proven
     // Every path with certified mass carries a witness that replayed on the
     // concrete machine, taking exactly the symbolic path's step count.
     for path in &provenance.paths {
-        if path.method == VolumeMethod::Unmeasured {
-            assert_eq!(path.volume, Rational::zero(), "{name}: unmeasured path has volume");
-            continue;
-        }
         if path.volume > Rational::zero() {
             let witness = path.witness.as_ref().unwrap_or_else(|| {
                 panic!("{name}: path {} has mass but no witness", path.index)

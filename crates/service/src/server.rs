@@ -72,8 +72,8 @@ use crate::protocol::{
 use probterm_telemetry::{Gauge, ProgressCell, ProgressSnapshot, SpanTimer, TraceSink};
 use probterm_core::astver::{try_verify_ast, VerifyError};
 use probterm_core::intervalsem::{
-    try_explain, try_lower_bound_resumable, ExplainConfig, LowerBoundCheckpoint,
-    LowerBoundConfig, LowerBoundResult, ReplaySeed,
+    try_explain, try_lower_bound, ExplainConfig, LowerBoundCheckpoint, LowerBoundConfig,
+    LowerBoundResult, Poll, ReplaySeed,
 };
 use probterm_core::numerics::Rational;
 use probterm_core::spcf::{
@@ -826,7 +826,9 @@ fn checkpoint_value(checkpoint: &LowerBoundCheckpoint) -> Option<Value> {
 /// Recovers a resumable checkpoint from a cached partial `lower` payload.
 /// Returns `None` for complete entries, entries cached before checkpoints
 /// existed, and anything malformed — the caller then recomputes from
-/// scratch, which is always sound.
+/// scratch, which is always sound. A resumed bound is the checkpoint's mass
+/// plus new mass, so a probability outside [0, 1] or negative expected steps
+/// (a corrupt snapshot line) count as malformed.
 fn checkpoint_from_payload(payload: &Value) -> Option<LowerBoundCheckpoint> {
     if !payload_is_partial(payload) {
         return None;
@@ -834,6 +836,10 @@ fn checkpoint_from_payload(payload: &Value) -> Option<LowerBoundCheckpoint> {
     let checkpoint = payload.get("checkpoint")?;
     let probability = Rational::parse(checkpoint.get("probability")?.as_str()?)?;
     let expected_steps = Rational::parse(checkpoint.get("expected_steps")?.as_str()?)?;
+    if probability.is_negative() || probability > Rational::one() || expected_steps.is_negative()
+    {
+        return None;
+    }
     let paths = usize::try_from(checkpoint.get("paths")?.as_u64()?).ok()?;
     let stuck_paths = usize::try_from(checkpoint.get("stuck")?.as_u64()?).ok()?;
     let frontier = checkpoint
@@ -1554,27 +1560,46 @@ fn inspect_payload(state: &ServerState) -> Value {
     ])
 }
 
+/// Runs the lower-bound engine under the request's budget. Its poll hook
+/// publishes the run's live progress (seeded with the checkpoint's mass, so
+/// the bound stays monotone across a resume chain), emits stream frames and
+/// checks the deadline.
 fn lower_payload(
     term: &Term,
     depth: usize,
     budget: &RunBudget,
     resume: Option<&(LowerBoundCheckpoint, u128)>,
-    progress: &Arc<ProgressCell>,
+    progress: &ProgressCell,
     stream: Option<&StreamHandle>,
 ) -> Result<Value, ServiceError> {
     budget.check("before the lower-bound engine started")?;
-    let config = LowerBoundConfig::default()
-        .with_depth(depth)
-        .with_progress(Arc::clone(progress));
-    let mut check = |_work: usize| {
+    let config = LowerBoundConfig::default().with_depth(depth);
+    let prior = resume.map(|(checkpoint, _)| checkpoint);
+    // Floats here only feed the progress display (the result stays exact);
+    // the cell's fixed-point ratchet keeps the published bound monotone.
+    let mut live_bound = prior.map_or(0.0, |c| c.probability.to_f64());
+    let mut live_paths = prior.map_or(0, |c| c.paths as u64);
+    progress.publish_terminated(live_paths, live_bound);
+    let mut poll = |poll: Poll<'_>| {
+        match poll {
+            Poll::Explore { work, frontier, depth } => {
+                progress.publish_exploration(work as u64, frontier as u64, depth as u64);
+            }
+            Poll::Sweep => {}
+            Poll::Measured(measure) => {
+                live_bound += measure.volume.to_f64();
+                live_paths += 1;
+                progress.publish_terminated(live_paths, live_bound);
+                return Ok(());
+            }
+        }
         if let Some(stream) = stream {
             stream.maybe_emit();
         }
         budget.check("during symbolic exploration")
     };
-    let (result, checkpoint, _interruption) =
-        try_lower_bound_resumable(term, &config, resume.map(|(c, _)| c), &mut check);
-    Ok(lower_result_value(&result, depth, &checkpoint, resume))
+    let run = try_lower_bound(term, &config, prior, &mut poll);
+    Ok(lower_result_value(&run.result, depth, &run.checkpoint, resume))
 }
 
 fn lower_result_value(
@@ -1625,8 +1650,8 @@ fn explain_payload(
     budget.check("before the explain engine started")?;
     let config = ExplainConfig::default()
         .with_lower(LowerBoundConfig::default().with_depth(depth));
-    let mut check = |_work: usize| budget.check("during symbolic exploration");
-    let (provenance, _interruption) = try_explain(term, &config, &mut check);
+    let (provenance, _interruption) =
+        try_explain(term, &config, &mut |_| budget.check("during symbolic exploration"));
     let engine_ms = provenance.result.elapsed.as_millis();
     let Value::Object(mut fields) =
         probterm_explain::render_json(&provenance, source, depth, top)
@@ -2958,6 +2983,42 @@ mod tests {
         let stats = s.state().stats();
         assert_eq!(stats.resumed, 1);
         assert!(stats.checkpointed_frontiers >= 1);
+    }
+
+    #[test]
+    fn checkpoints_with_impossible_mass_are_not_resumed() {
+        // A cached or disk-loaded partial payload with the given checkpoint
+        // tallies. Resuming adds new mass to the checkpoint's, so a
+        // probability above 1 would surface as a bound above 1.
+        let payload = |probability: &str, expected_steps: &str| {
+            Value::Object(vec![
+                ("complete".into(), Value::Bool(false)),
+                (
+                    "checkpoint".into(),
+                    Value::Object(vec![
+                        ("probability".into(), Value::Str(probability.into())),
+                        ("expected_steps".into(), Value::Str(expected_steps.into())),
+                        ("paths".into(), Value::UInt(3)),
+                        ("stuck".into(), Value::UInt(0)),
+                        ("frontier".into(), Value::Array(vec![Value::Str("7:EE".into())])),
+                    ]),
+                ),
+            ])
+        };
+        for (probability, expected_steps) in [("0", "0"), ("7/8", "9/4"), ("1", "12")] {
+            let resumed = checkpoint_from_payload(&payload(probability, expected_steps))
+                .unwrap_or_else(|| panic!("sound checkpoint {probability} rejected"));
+            assert_eq!(resumed.probability, Rational::parse(probability).unwrap());
+            assert_eq!(resumed.frontier.len(), 1);
+        }
+        for (probability, expected_steps) in [("3/2", "1"), ("-1/4", "1"), ("1/2", "-3")] {
+            assert_eq!(
+                checkpoint_from_payload(&payload(probability, expected_steps)),
+                None,
+                "checkpoint with probability {probability}, expected steps {expected_steps} \
+                 must be recomputed, not resumed"
+            );
+        }
     }
 
     #[test]

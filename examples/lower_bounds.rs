@@ -18,7 +18,7 @@
 //! cargo run --release --example lower_bounds
 //! ```
 
-use probterm::core::intervalsem::lower_bound_profile;
+use probterm::core::intervalsem::{lower_bound, LowerBoundConfig};
 use probterm::core::numerics::Rational;
 use probterm::core::spcf::{catalog, estimate_termination, MonteCarloConfig, Strategy};
 
@@ -32,8 +32,12 @@ fn main() {
     for benchmark in programs {
         println!("\n=== {} ===", benchmark.name);
         println!("    {}", benchmark.description);
-        let profile = lower_bound_profile(&benchmark.term, &depths);
-        for (depth, result) in &profile {
+        // Each depth is a fresh run: resuming the previous depth's checkpoint
+        // would replay every frontier seed's prefix and take more machine
+        // steps than exploring from scratch.
+        for depth in depths {
+            let config = LowerBoundConfig::default().with_depth(depth);
+            let result = lower_bound(&benchmark.term, &config);
             println!(
                 "  depth {:>4}: Pterm >= {}   ({} paths, {} ms)",
                 depth,

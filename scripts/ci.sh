@@ -19,6 +19,13 @@ cargo build --release --workspace --offline || status=$?
 echo "== cargo test -q --workspace --no-fail-fast =="
 cargo test -q --workspace --offline --no-fail-fast || status=$?
 
+# perfbench (the repo benchmark, `perfbench/run.sh`) is its own workspace, so
+# `--workspace` never compiles it. Building and testing it here makes an
+# engine API change that breaks the benchmark's calls fail tier-1, not the
+# benchmark run.
+echo "== perfbench build and tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml || status=$?
+
 # ---------------------------------------------------------------------------
 # Differential suites: the environment machine vs. the substitution-based
 # reference steppers, for the concrete evaluator and for symbolic

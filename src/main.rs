@@ -24,7 +24,7 @@
 
 use probterm::core::astver::{build_tree, try_verify_ast_profiled};
 use probterm::core::intervalsem::{
-    lower_bound, try_explain, try_lower_bound, ExplainConfig, LowerBoundConfig,
+    lower_bound, try_explain, try_lower_bound, ExplainConfig, LowerBoundConfig, Poll,
 };
 use probterm::core::{analyze, analyze_ast, AnalysisConfig};
 use probterm::numerics::Rational;
@@ -1097,7 +1097,7 @@ fn main() -> ExitCode {
                         Some(ms) => {
                             let deadline =
                                 std::time::Instant::now() + std::time::Duration::from_millis(ms);
-                            let mut check = |_work: usize| {
+                            let mut check = |_: Poll<'_>| {
                                 if std::time::Instant::now() > deadline {
                                     Err(())
                                 } else {
@@ -1106,9 +1106,7 @@ fn main() -> ExitCode {
                             };
                             // The partial result is sound (Thm. 3.4): an
                             // expired budget only loses bound mass.
-                            let (result, _interrupted) =
-                                try_lower_bound(&term, &config, &mut check);
-                            result
+                            try_lower_bound(&term, &config, None, &mut check).result
                         }
                     };
                     println!(
@@ -1149,7 +1147,7 @@ fn main() -> ExitCode {
                         let deadline = options.deadline_ms.map(|ms| {
                             std::time::Instant::now() + std::time::Duration::from_millis(ms)
                         });
-                        let mut check = |_work: usize| match deadline {
+                        let mut check = |_: Poll<'_>| match deadline {
                             Some(d) if std::time::Instant::now() > d => Err(()),
                             _ => Ok(()),
                         };
