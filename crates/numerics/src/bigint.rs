@@ -2,15 +2,16 @@
 //!
 //! The termination analyses in this workspace manipulate exact rational
 //! probabilities (the paper reports "rational lower-bounds to avoid rounding
-//! errors", §7.1). Products of branch probabilities and Lasserre-style volume
-//! computations quickly exceed the range of machine integers, so we implement a
-//! small, dependency-free big-integer library: [`BigUint`] (magnitude) and
-//! [`BigInt`] (sign + magnitude).
+//! errors", §7.1). Most values fit machine words, and
+//! [`Rational`](crate::Rational) keeps those inline; the integers here carry
+//! the rest: products of many branch probabilities, powers of walk matrices,
+//! and the denominators of long paths, which grow to hundreds or thousands
+//! of bits. This is a small, dependency-free library: [`BigUint`]
+//! (magnitude) and [`BigInt`] (sign + magnitude).
 //!
-//! The implementation favours clarity over raw speed: schoolbook
-//! multiplication and Knuth-style long division over 64-bit limbs are more than
-//! fast enough for the operand sizes produced by the benchmarks (a few hundred
-//! bits at most).
+//! Multiplication is schoolbook over 64-bit limbs and division is bitwise
+//! long division. The gcd, which every rational operation on big values
+//! runs, is binary and strips whole runs of zero bits in place.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -46,6 +47,36 @@ impl Sign {
         }
     }
 }
+
+/// Defines a binary gcd on one machine-word width (`gcd(0, b) = b`).
+macro_rules! binary_gcd {
+    ($name:ident, $word:ty) => {
+        pub(crate) fn $name(mut a: $word, mut b: $word) -> $word {
+            if a == 0 || b == 0 {
+                return a | b;
+            }
+            let shift = (a | b).trailing_zeros();
+            a >>= a.trailing_zeros();
+            loop {
+                b >>= b.trailing_zeros();
+                // Both odd from here on.
+                if a > b {
+                    std::mem::swap(&mut a, &mut b);
+                }
+                if a == 1 {
+                    return 1 << shift;
+                }
+                b -= a;
+                if b == 0 {
+                    return a << shift;
+                }
+            }
+        }
+    };
+}
+
+binary_gcd!(gcd_u64, u64);
+binary_gcd!(gcd_u128, u128);
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -121,6 +152,28 @@ impl BigUint {
     /// Returns `true` if the value is even.
     pub fn is_even(&self) -> bool {
         self.limbs.first().map(|l| l % 2 == 0).unwrap_or(true)
+    }
+
+    /// Number of trailing zero bits (zero has none).
+    fn trailing_zeros(&self) -> u64 {
+        match self.limbs.iter().position(|&l| l != 0) {
+            None => 0,
+            Some(i) => i as u64 * 64 + self.limbs[i].trailing_zeros() as u64,
+        }
+    }
+
+    /// Right shift by `bits`, in place.
+    fn shr_assign_bits(&mut self, bits: u64) {
+        let limb_shift = ((bits / 64) as usize).min(self.limbs.len());
+        self.limbs.drain(..limb_shift);
+        let bit_shift = bits % 64;
+        if bit_shift != 0 {
+            for i in 0..self.limbs.len() {
+                let hi = self.limbs.get(i + 1).map_or(0, |&l| l << (64 - bit_shift));
+                self.limbs[i] = (self.limbs[i] >> bit_shift) | hi;
+            }
+        }
+        self.normalize();
     }
 
     fn normalize(&mut self) {
@@ -317,7 +370,7 @@ impl BigUint {
                 remainder.sub_assign_ref(&divisor);
                 quotient_limbs[(i / 64) as usize] |= 1u64 << (i % 64);
             }
-            divisor = divisor.shr_bits(1);
+            divisor.shr_assign_bits(1);
             i -= 1;
         }
         (BigUint::from_limbs(quotient_limbs), remainder)
@@ -325,37 +378,26 @@ impl BigUint {
 
     /// Greatest common divisor (binary GCD).
     pub fn gcd(&self, other: &BigUint) -> BigUint {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        if a.is_zero() {
-            return b;
+        if self.is_zero() {
+            return other.clone();
         }
-        if b.is_zero() {
-            return a;
+        if other.is_zero() {
+            return self.clone();
         }
-        // Remove common factors of two.
-        let mut shift = 0u64;
-        while a.is_even() && b.is_even() {
-            a = a.shr_bits(1);
-            b = b.shr_bits(1);
-            shift += 1;
-        }
-        while a.is_even() {
-            a = a.shr_bits(1);
-        }
+        let (mut a, mut b) = (self.clone(), other.clone());
+        // Factor out the common power of two, then keep both operands odd.
+        let shift = a.trailing_zeros().min(b.trailing_zeros());
+        a.shr_assign_bits(a.trailing_zeros());
         loop {
-            while b.is_even() {
-                b = b.shr_bits(1);
-            }
+            b.shr_assign_bits(b.trailing_zeros());
             if a.cmp_mag(&b) == Ordering::Greater {
                 std::mem::swap(&mut a, &mut b);
             }
             b.sub_assign_ref(&a);
             if b.is_zero() {
-                break;
+                return a.shl_bits(shift);
             }
         }
-        a.shl_bits(shift)
     }
 
     /// Raises the value to the power `exp`.

@@ -5,13 +5,37 @@
 //! traces, polytope volumes and expected-step counts are all exact rationals,
 //! exactly as the paper's prototype does in §7.1 ("Our tool computes rational
 //! lower-bounds to avoid rounding errors").
+//!
+//! Almost all of those values are small: dyadic box endpoints, branch
+//! probabilities such as `7/10`, volumes of short paths. A [`Rational`]
+//! therefore keeps a value that fits machine words inline and does its
+//! arithmetic in `i128`/`u128`, with no heap allocation; only values that
+//! outgrow the words (long products of branch probabilities, powers of walk
+//! matrices) live in [`BigInt`]/[`BigUint`].
 
-use crate::bigint::{BigInt, BigUint, Sign};
+use crate::bigint::{gcd_u128, gcd_u64, BigInt, BigUint, Sign};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// An exact rational number `num / den` with `den > 0` and `gcd(|num|, den) = 1`.
+///
+/// A value has one of two representations:
+///
+/// * *small*: an inline `i64` numerator and `u64` denominator;
+/// * *big*: a heap [`BigInt`] numerator and [`BigUint`] denominator.
+///
+/// The choice is canonical. A value is small exactly when its reduced
+/// numerator lies in `-(2⁶³ - 1) ..= 2⁶³ - 1` and its denominator fits a
+/// `u64`. (Leaving out `i64::MIN` keeps the range symmetric, so negation and
+/// [`abs`](Rational::abs) never change the representation.) Every value thus
+/// has exactly one representation, and the derived `PartialEq`, `Eq` and
+/// `Hash` are value equality.
+///
+/// Arithmetic on two small values runs in `i128`/`u128`. A product of an
+/// `i64` and a `u64` always fits an `i128`; only the sum of two such cross
+/// products can overflow. That case, and any big operand, takes the
+/// big-integer path. Every result is demoted to the small form when it fits.
 ///
 /// # Examples
 ///
@@ -22,12 +46,21 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// let sum = &third + &third + &third;
 /// assert_eq!(sum, Rational::one());
 /// assert_eq!(Rational::from_ratio(2, 4), Rational::from_ratio(1, 2));
+///
+/// // A big intermediate that reduces to a small value is small again.
+/// let big = Rational::from_ratio(1, 3) * Rational::from_int(2).pow(70);
+/// assert_eq!(&big * &big.recip(), Rational::one());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Rational {
-    num: BigInt,
-    den: BigUint,
+pub struct Rational(Repr);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    Small { num: i64, den: u64 },
+    Big { num: BigInt, den: BigUint },
 }
+
+use Repr::{Big, Small};
 
 impl Default for Rational {
     fn default() -> Self {
@@ -35,26 +68,120 @@ impl Default for Rational {
     }
 }
 
+fn sign_of(negative: bool) -> Sign {
+    if negative {
+        Sign::Negative
+    } else {
+        Sign::Positive
+    }
+}
+
+/// `a/b + c/d` for small operands, or `None` if the numerator overflows `i128`.
+fn add_small(a: i64, b: u64, c: i64, d: u64) -> Option<Rational> {
+    if b == d {
+        let num = a as i128 + c as i128;
+        return Some(Rational::reduce(num < 0, num.unsigned_abs(), b as u128));
+    }
+    // |a|·d and |c|·b are each below 2¹²⁷; only their sum can overflow.
+    let num = (a as i128 * d as i128).checked_add(c as i128 * b as i128)?;
+    // A product of two u64 values always fits a u128.
+    Some(Rational::reduce(
+        num < 0,
+        num.unsigned_abs(),
+        b as u128 * d as u128,
+    ))
+}
+
+/// `±(a/b)·(c/d)` for coprime pairs `(a, b)` and `(c, d)`. Cancelling the
+/// cross gcds first leaves a reduced product, which always fits `u128`.
+fn mul_small(negative: bool, a: u64, b: u64, c: u64, d: u64) -> Rational {
+    if a == 0 || c == 0 {
+        return Rational::zero();
+    }
+    let g1 = gcd_u64(a, d);
+    let g2 = gcd_u64(c, b);
+    Rational::from_coprime(
+        negative,
+        (a / g1) as u128 * (c / g2) as u128,
+        (b / g2) as u128 * (d / g1) as u128,
+    )
+}
+
+/// `num / den` as an `f64`, scaling both down first when they are huge.
+fn big_ratio_to_f64(num: &BigInt, den: &BigUint) -> f64 {
+    let nb = num.magnitude().bits() as i64;
+    let db = den.bits() as i64;
+    if nb < 900 && db < 900 {
+        return num.to_f64() / den.to_f64();
+    }
+    let shift = (nb.max(db) - 512).max(0) as u64;
+    let v = num.magnitude().shr_bits(shift).to_f64() / den.shr_bits(shift).to_f64();
+    if num.is_negative() {
+        -v
+    } else {
+        v
+    }
+}
+
 impl Rational {
+    const fn small(num: i64, den: u64) -> Rational {
+        Rational(Small { num, den })
+    }
+
+    /// The canonical value `±mag / den`, given `den > 0` and `gcd(mag, den) = 1`.
+    fn from_coprime(negative: bool, mag: u128, den: u128) -> Rational {
+        if mag <= i64::MAX as u128 && den <= u64::MAX as u128 {
+            let num = mag as i64;
+            Rational::small(if negative { -num } else { num }, den as u64)
+        } else {
+            Rational(Big {
+                num: BigInt::from_sign_mag(sign_of(negative), BigUint::from(mag)),
+                den: BigUint::from(den),
+            })
+        }
+    }
+
+    /// The canonical value `num / den`, given `den > 0` and `gcd(|num|, den) = 1`.
+    fn from_big_coprime(num: BigInt, den: BigUint) -> Rational {
+        match (num.to_i64(), den.to_u64()) {
+            (Some(n), Some(d)) if n != i64::MIN => Rational::small(n, d),
+            _ => Rational(Big { num, den }),
+        }
+    }
+
+    /// The canonical value `±mag / den` for `den > 0`, reduced by the gcd.
+    fn reduce(negative: bool, mag: u128, den: u128) -> Rational {
+        // Most operands fit one word, where gcd and division are cheaper.
+        if (mag | den) >> 64 == 0 {
+            let (mag, den) = (mag as u64, den as u64);
+            let g = gcd_u64(mag, den);
+            return Rational::from_coprime(negative, (mag / g) as u128, (den / g) as u128);
+        }
+        let g = gcd_u128(mag, den);
+        Rational::from_coprime(negative, mag / g, den / g)
+    }
+
+    /// The value as a big numerator and denominator.
+    fn to_big(&self) -> (BigInt, BigUint) {
+        match &self.0 {
+            Small { num, den } => (BigInt::from(*num), BigUint::from(*den)),
+            Big { num, den } => (num.clone(), den.clone()),
+        }
+    }
+
     /// The value `0`.
     pub fn zero() -> Rational {
-        Rational {
-            num: BigInt::zero(),
-            den: BigUint::one(),
-        }
+        Rational::small(0, 1)
     }
 
     /// The value `1`.
     pub fn one() -> Rational {
-        Rational {
-            num: BigInt::one(),
-            den: BigUint::one(),
-        }
+        Rational::small(1, 1)
     }
 
     /// The value `1/2`.
     pub fn half() -> Rational {
-        Rational::from_ratio(1, 2)
+        Rational::small(1, 2)
     }
 
     /// Constructs `num / den` from machine integers.
@@ -64,10 +191,12 @@ impl Rational {
     /// Panics if `den == 0`.
     pub fn from_ratio(num: i64, den: i64) -> Rational {
         assert!(den != 0, "zero denominator");
-        let sign_flip = den < 0;
-        let num = if sign_flip { BigInt::from(-num) } else { BigInt::from(num) };
-        let den = BigUint::from(den.unsigned_abs());
-        Rational::from_bigint_ratio(num, BigInt::from(den))
+        let negative = (num < 0) != (den < 0);
+        Rational::reduce(
+            negative,
+            num.unsigned_abs() as u128,
+            den.unsigned_abs() as u128,
+        )
     }
 
     /// Constructs `num / den` from big integers, normalising signs and the gcd.
@@ -77,89 +206,90 @@ impl Rational {
     /// Panics if `den` is zero.
     pub fn from_bigint_ratio(num: BigInt, den: BigInt) -> Rational {
         assert!(!den.is_zero(), "zero denominator");
-        let (num, den_mag) = if den.is_negative() {
-            (-num, den.into_magnitude())
-        } else {
-            (num, den.into_magnitude())
-        };
-        if num.is_zero() {
-            return Rational::zero();
+        let negative = num.is_negative() != den.is_negative();
+        if let (Some(n), Some(d)) = (num.magnitude().to_u128(), den.magnitude().to_u128()) {
+            return Rational::reduce(negative, n, d);
         }
-        let g = num.magnitude().gcd(&den_mag);
-        let num = BigInt::from_sign_mag(num.sign(), num.magnitude().div_rem(&g).0);
-        let den = den_mag.div_rem(&g).0;
-        Rational { num, den }
+        let (num, den) = (num.into_magnitude(), den.into_magnitude());
+        let g = num.gcd(&den);
+        Rational::from_big_coprime(
+            BigInt::from_sign_mag(sign_of(negative), num.div_rem(&g).0),
+            den.div_rem(&g).0,
+        )
     }
 
     /// Constructs an integer-valued rational.
     pub fn from_int(v: i64) -> Rational {
-        Rational {
-            num: BigInt::from(v),
-            den: BigUint::one(),
+        if v == i64::MIN {
+            return Rational::from_bigint(BigInt::from(v));
         }
+        Rational::small(v, 1)
     }
 
     /// Constructs a rational from a big integer.
     pub fn from_bigint(v: BigInt) -> Rational {
-        Rational {
-            num: v,
-            den: BigUint::one(),
-        }
-    }
-
-    /// Numerator (signed, coprime with the denominator).
-    pub fn numer(&self) -> &BigInt {
-        &self.num
-    }
-
-    /// Denominator (strictly positive).
-    pub fn denom(&self) -> &BigUint {
-        &self.den
+        Rational::from_big_coprime(v, BigUint::one())
     }
 
     /// Returns `true` if the value is zero.
     pub fn is_zero(&self) -> bool {
-        self.num.is_zero()
+        matches!(self.0, Small { num: 0, .. })
     }
 
     /// Returns `true` if the value is one.
     pub fn is_one(&self) -> bool {
-        self.den.is_one() && self.num == BigInt::one()
+        matches!(self.0, Small { num: 1, den: 1 })
     }
 
     /// Returns `true` if strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.num.is_positive()
+        self.sign() == Sign::Positive
     }
 
     /// Returns `true` if strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.num.is_negative()
+        self.sign() == Sign::Negative
     }
 
     /// Returns `true` if the value is an integer.
     pub fn is_integer(&self) -> bool {
-        self.den.is_one()
+        match &self.0 {
+            Small { den, .. } => *den == 1,
+            Big { den, .. } => den.is_one(),
+        }
     }
 
     /// The sign of the value.
     pub fn sign(&self) -> Sign {
-        self.num.sign()
+        match &self.0 {
+            Small { num, .. } => match num.cmp(&0) {
+                Ordering::Less => Sign::Negative,
+                Ordering::Equal => Sign::Zero,
+                Ordering::Greater => Sign::Positive,
+            },
+            Big { num, .. } => num.sign(),
+        }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> Rational {
-        Rational {
-            num: self.num.abs(),
-            den: self.den.clone(),
+        match &self.0 {
+            Small { num, den } => Rational::small(num.abs(), *den),
+            Big { num, den } => Rational(Big {
+                num: num.abs(),
+                den: den.clone(),
+            }),
         }
     }
 
     /// Additive inverse.
     pub fn negated(&self) -> Rational {
-        Rational {
-            num: -&self.num,
-            den: self.den.clone(),
+        match &self.0 {
+            Small { num, den } => Rational::small(-num, *den),
+            Big { num, den } => Rational(Big {
+                num: -num,
+                den: den.clone(),
+            }),
         }
     }
 
@@ -170,19 +300,28 @@ impl Rational {
     /// Panics if the value is zero.
     pub fn recip(&self) -> Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Rational::from_bigint_ratio(
-            BigInt::from(self.den.clone()),
-            self.num.clone(),
-        )
+        match &self.0 {
+            Small { num, den } => {
+                Rational::from_coprime(*num < 0, *den as u128, num.unsigned_abs() as u128)
+            }
+            Big { num, den } => Rational::from_big_coprime(
+                BigInt::from_sign_mag(num.sign(), den.clone()),
+                num.magnitude().clone(),
+            ),
+        }
     }
 
     /// Adds two rationals.
     pub fn add_ref(&self, other: &Rational) -> Rational {
+        if let (Small { num: a, den: b }, Small { num: c, den: d }) = (&self.0, &other.0) {
+            if let Some(sum) = add_small(*a, *b, *c, *d) {
+                return sum;
+            }
+        }
         // a/b + c/d = (a d + c b) / (b d)
-        let num = &(&self.num * &BigInt::from(other.den.clone()))
-            + &(&other.num * &BigInt::from(self.den.clone()));
-        let den = BigInt::from(self.den.mul_ref(&other.den));
-        Rational::from_bigint_ratio(num, den)
+        let ((a, b), (c, d)) = (self.to_big(), other.to_big());
+        let num = &(&a * &BigInt::from(d.clone())) + &(&c * &BigInt::from(b.clone()));
+        Rational::from_bigint_ratio(num, BigInt::from(b.mul_ref(&d)))
     }
 
     /// Subtracts `other` from `self`.
@@ -192,9 +331,12 @@ impl Rational {
 
     /// Multiplies two rationals.
     pub fn mul_ref(&self, other: &Rational) -> Rational {
-        let num = &self.num * &other.num;
-        let den = BigInt::from(self.den.mul_ref(&other.den));
-        Rational::from_bigint_ratio(num, den)
+        if let (Small { num: a, den: b }, Small { num: c, den: d }) = (&self.0, &other.0) {
+            let negative = (*a < 0) != (*c < 0);
+            return mul_small(negative, a.unsigned_abs(), *b, c.unsigned_abs(), *d);
+        }
+        let ((a, b), (c, d)) = (self.to_big(), other.to_big());
+        Rational::from_bigint_ratio(&a * &c, BigInt::from(b.mul_ref(&d)))
     }
 
     /// Divides `self` by `other`.
@@ -224,10 +366,15 @@ impl Rational {
     }
 
     fn pow_u32(&self, exp: u32) -> Rational {
-        Rational {
-            num: self.num.pow(exp),
-            den: self.den.pow(exp),
+        if let Small { num, den } = self.0 {
+            let powers = (num.unsigned_abs().checked_pow(exp), den.checked_pow(exp));
+            if let (Some(mag), Some(den)) = powers {
+                let negative = num < 0 && exp % 2 == 1;
+                return Rational::from_coprime(negative, mag as u128, den as u128);
+            }
         }
+        let (num, den) = self.to_big();
+        Rational::from_big_coprime(num.pow(exp), den.pow(exp))
     }
 
     /// The minimum of two rationals.
@@ -250,11 +397,16 @@ impl Rational {
 
     /// Floor as a big integer.
     pub fn floor(&self) -> BigInt {
-        let (q, r) = self.num.div_rem(&BigInt::from(self.den.clone()));
-        if self.num.is_negative() && !r.is_zero() {
-            q - BigInt::one()
-        } else {
-            q
+        match &self.0 {
+            Small { num, den } => BigInt::from((*num as i128).div_euclid(*den as i128) as i64),
+            Big { num, den } => {
+                let (q, r) = num.div_rem(&BigInt::from(den.clone()));
+                if num.is_negative() && !r.is_zero() {
+                    q - BigInt::one()
+                } else {
+                    q
+                }
+            }
         }
     }
 
@@ -265,20 +417,11 @@ impl Rational {
 
     /// Best-effort conversion to `f64`.
     pub fn to_f64(&self) -> f64 {
-        // Scale to keep precision when both parts are huge.
-        let nb = self.num.magnitude().bits() as i64;
-        let db = self.den.bits() as i64;
-        if nb < 900 && db < 900 {
-            return self.num.to_f64() / self.den.to_f64();
-        }
-        let shift = (nb.max(db) - 512).max(0) as u64;
-        let n = self.num.magnitude().shr_bits(shift).to_f64();
-        let d = self.den.shr_bits(shift).to_f64();
-        let v = n / d;
-        if self.is_negative() {
-            -v
-        } else {
-            v
+        match &self.0 {
+            // Each part rounds to nearest, as the limb fold of a one-limb
+            // big value does, so both representations convert identically.
+            Small { num, den } => *num as f64 / *den as f64,
+            Big { num, den } => big_ratio_to_f64(num, den),
         }
     }
 
@@ -293,7 +436,7 @@ impl Rational {
             return Rational::zero();
         }
         let bits = v.to_bits();
-        let sign = if (bits >> 63) == 1 { -1i64 } else { 1i64 };
+        let negative = (bits >> 63) == 1;
         let exponent = ((bits >> 52) & 0x7ff) as i64;
         let mantissa = bits & ((1u64 << 52) - 1);
         let (mantissa, exponent) = if exponent == 0 {
@@ -301,11 +444,7 @@ impl Rational {
         } else {
             (mantissa | (1u64 << 52), exponent - 1075)
         };
-        let mag = BigUint::from(mantissa);
-        let num = BigInt::from_sign_mag(
-            if sign > 0 { Sign::Positive } else { Sign::Negative },
-            mag,
-        );
+        let num = BigInt::from_sign_mag(sign_of(negative), BigUint::from(mantissa));
         if exponent >= 0 {
             Rational::from_bigint_ratio(
                 BigInt::from_sign_mag(num.sign(), num.magnitude().shl_bits(exponent as u64)),
@@ -362,8 +501,9 @@ impl Rational {
     /// Renders the value in decimal with `digits` fractional digits,
     /// truncated toward zero (matching how the paper prints lower bounds).
     pub fn to_decimal_string(&self, digits: usize) -> String {
+        let (num, den) = self.to_big();
         let scale = BigUint::from(10u64).pow(digits as u32);
-        let scaled = (&self.num.abs() * &BigInt::from(scale)).div_rem(&BigInt::from(self.den.clone())).0;
+        let scaled = (&num.abs() * &BigInt::from(scale)).div_rem(&BigInt::from(den)).0;
         let scaled_str = scaled.to_string();
         let scaled_str = if scaled_str.len() <= digits {
             format!("{}{}", "0".repeat(digits + 1 - scaled_str.len()), scaled_str)
@@ -412,18 +552,25 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b ? c/d  <=>  a d ? c b   (b, d > 0)
-        let lhs = &self.num * &BigInt::from(other.den.clone());
-        let rhs = &other.num * &BigInt::from(self.den.clone());
-        lhs.cmp(&rhs)
+        if let (Small { num: a, den: b }, Small { num: c, den: d }) = (&self.0, &other.0) {
+            if b == d {
+                return a.cmp(c);
+            }
+            // |a|·d < 2¹²⁷, so neither cross product overflows.
+            return (*a as i128 * *d as i128).cmp(&(*c as i128 * *b as i128));
+        }
+        let ((a, b), (c, d)) = (self.to_big(), other.to_big());
+        (&a * &BigInt::from(d)).cmp(&(&c * &BigInt::from(b)))
     }
 }
 
 impl fmt::Display for Rational {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den.is_one() {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
+        match &self.0 {
+            Small { num, den: 1 } => write!(f, "{}", num),
+            Small { num, den } => write!(f, "{}/{}", num, den),
+            Big { num, den } if den.is_one() => write!(f, "{}", num),
+            Big { num, den } => write!(f, "{}/{}", num, den),
         }
     }
 }

@@ -2852,14 +2852,14 @@ mod tests {
     #[test]
     fn deadline_bounded_lower_returns_a_partial_sound_bound() {
         let s = server();
-        // gr with a non-affine guard explores an exponential branching tree
-        // and measures every path with the box sweep: depth 400 takes over a
-        // minute in a release build, but the first terminating paths are
-        // found and measured within milliseconds, so the partial bound is
-        // nonzero.
-        let gr = "(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0";
+        // A binary-branching recursion with a cubic guard explores an
+        // exponential tree and measures every path with the box sweep: depth
+        // 400 takes over 50 s in a release build, but the first terminating
+        // paths are found and measured within milliseconds, so the partial
+        // bound is nonzero.
+        let tree = "(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0";
         let request = format!(
-            r#"{{"id":1,"op":"lower","program":"{gr}","depth":400,"deadline_ms":120}}"#
+            r#"{{"id":1,"op":"lower","program":"{tree}","depth":400,"deadline_ms":120}}"#
         );
         let reply = s.handle_line(&request).unwrap();
         let result = result_of(&reply);
@@ -2937,15 +2937,16 @@ mod tests {
 
     #[test]
     fn partial_lower_checkpoints_and_a_richer_retry_resumes() {
-        let s = server();
+        // Above the default depth cap of 400.
+        let s = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
         // geo with a non-affine guard: its path tree is a single chain, so
         // its frontier stays tiny, but every path is measured by the box
-        // sweep over ever more dimensions. Depth 400 takes over 20 s in a
+        // sweep over ever more dimensions. Depth 1600 takes about 20 s in a
         // release build, so the first run truncates with a checkpoint.
         let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
         let reply = s
             .handle_line(&format!(
-                r#"{{"op":"lower","program":"{geo}","depth":400,"deadline_ms":120}}"#
+                r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":120}}"#
             ))
             .unwrap();
         let partial = result_of(&reply);
@@ -2970,7 +2971,7 @@ mod tests {
         // says so and the bound is monotone.
         let reply = s
             .handle_line(&format!(
-                r#"{{"op":"lower","program":"{geo}","depth":400,"deadline_ms":2000}}"#
+                r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":2000}}"#
             ))
             .unwrap();
         let resumed = result_of(&reply);
@@ -3133,11 +3134,11 @@ mod tests {
     #[test]
     fn analyze_reports_partial_results_under_deadline() {
         let s = server();
-        // Over a minute of box sweeps in a release build (see above).
-        let gr = "(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0";
+        // Over 50 s of box sweeps in a release build (see above).
+        let tree = "(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0";
         let reply = s
             .handle_line(&format!(
-                r#"{{"op":"analyze","program":"{gr}","depth":400,"deadline_ms":120}}"#
+                r#"{{"op":"analyze","program":"{tree}","depth":400,"deadline_ms":120}}"#
             ))
             .unwrap();
         let result = result_of(&reply);
@@ -3455,14 +3456,16 @@ mod tests {
 
     #[test]
     fn streamed_lower_emits_monotone_progress_frames() {
-        let s = server();
+        // geo(1/2) at depth 1200 takes about 50 ms in a release build, so it
+        // spans several frame intervals; depth 1200 is above the default cap.
+        let s = Server::new(ServerConfig { workers: 1, max_depth: 1200, ..Default::default() });
         let frames = std::cell::RefCell::new(Vec::<Value>::new());
         let sink = |frame: &str| {
             frames.borrow_mut().push(serde_json::from_str(frame).unwrap());
         };
         let reply = handle_line_frames(
             s.state(),
-            r#"{"id":77,"op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":400,"stream":true}"#,
+            r#"{"id":77,"op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":1200,"stream":true}"#,
             &sink,
         )
         .unwrap();
@@ -3471,7 +3474,7 @@ mod tests {
         let frames = frames.into_inner();
         assert!(
             frames.len() >= 2,
-            "a depth-400 run must emit several progress frames, got {}",
+            "a depth-1200 run must emit several progress frames, got {}",
             frames.len()
         );
         let mut prev_steps = 0u64;
@@ -3499,7 +3502,7 @@ mod tests {
         let count_sink = |_: &str| *quiet.borrow_mut() += 1;
         let reply = handle_line_frames(
             s.state(),
-            r#"{"id":78,"op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":400}"#,
+            r#"{"id":78,"op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":1200}"#,
             &count_sink,
         )
         .unwrap();

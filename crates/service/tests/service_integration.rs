@@ -229,13 +229,13 @@ fn deadline_bounded_lower_returns_partial_bounds_over_tcp() {
     let running = server.spawn_tcp("127.0.0.1:0").expect("bind loopback");
     let mut client = Client::connect(running.addr);
 
-    // gr with a non-affine guard explores an exponentially branching tree and
-    // measures every path with the box sweep: depth 400 takes over a minute
-    // in a release build, but its earliest terminating paths are found and
-    // measured within milliseconds.
-    let gr = "(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0";
+    // A binary-branching recursion with a cubic guard explores an
+    // exponential tree and measures every path with the box sweep: depth 400
+    // takes over 50 s in a release build, but its earliest terminating paths
+    // are found and measured within milliseconds.
+    let tree = "(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0";
     let request = format!(
-        r#"{{"id":"partial","op":"lower","program":"{gr}","depth":400,"deadline_ms":150}}"#
+        r#"{{"id":"partial","op":"lower","program":"{tree}","depth":400,"deadline_ms":150}}"#
     );
     let reply = client.request(&request);
     let result = result_of(&reply);

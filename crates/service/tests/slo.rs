@@ -67,13 +67,14 @@ fn whole_catalogue_lower_replies_within_deadline_plus_slack() {
 /// says it resumed.
 #[test]
 fn resumed_retries_tighten_bounds_monotonically() {
-    let server = Server::new(ServerConfig { workers: 1, ..Default::default() });
-    // A single chain of paths, each measured by the box sweep: depth 400
-    // takes over 20 s in a release build, far beyond either deadline.
+    // Above the default depth cap of 400.
+    let server = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
+    // A single chain of paths, each measured by the box sweep: depth 1600
+    // takes about 20 s in a release build, far beyond either deadline.
     let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
     let first = handle_line(
         server.state(),
-        &format!(r#"{{"op":"lower","program":"{geo}","depth":400,"deadline_ms":100}}"#),
+        &format!(r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":100}}"#),
     )
     .unwrap();
     let first_v = serde_json::from_str(&first).unwrap();
@@ -83,7 +84,7 @@ fn resumed_retries_tighten_bounds_monotonically() {
 
     let retry = handle_line(
         server.state(),
-        &format!(r#"{{"op":"lower","program":"{geo}","depth":400,"deadline_ms":2000}}"#),
+        &format!(r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":2000}}"#),
     )
     .unwrap();
     let retry_v = serde_json::from_str(&retry).unwrap();

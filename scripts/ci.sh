@@ -19,6 +19,12 @@ cargo build --release --workspace --offline || status=$?
 echo "== cargo test -q --workspace --no-fail-fast =="
 cargo test -q --workspace --offline --no-fail-fast || status=$?
 
+# `Rational`'s small-value fast path relies on detecting integer overflow.
+# Overflow panics in debug builds but wraps in release builds, which is what
+# the benchmark and users run, so the numerics suite runs in release too.
+echo "== numerics suite in release =="
+cargo test --release -q --offline -p probterm-numerics || status=$?
+
 # perfbench (the repo benchmark, `perfbench/run.sh`) is its own workspace, so
 # `--workspace` never compiles it. Building and testing it here makes an
 # engine API change that breaks the benchmark's calls fail tier-1, not the
@@ -47,10 +53,11 @@ if [ -x target/release/probterm ]; then
         *"Pterm >= 0.9"*) echo "cli ok: lower ($lower_out)" ;;
         *) echo "cli FAILED: lower: $lower_out"; cli_status=1 ;;
     esac
-    # gr with a non-affine guard: every path needs the box sweep, so the
-    # full run takes over a minute, far beyond the 100 ms deadline.
+    # A binary-branching recursion with a cubic guard: every path needs the
+    # box sweep, so the full run takes over a minute, far beyond the 100 ms
+    # deadline.
     partial_out=$(timeout 60 target/release/probterm lower \
-        -e '(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0' \
+        -e '(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0' \
         --depth 4000 --deadline-ms 100)
     case "$partial_out" in
         *"partial: deadline exceeded"*) echo "cli ok: lower --deadline-ms ($partial_out)" ;;
@@ -101,7 +108,7 @@ if [ -x target/release/probterm ]; then
     esac
     truncated_json=$(mktemp /tmp/probterm-explain.XXXXXX.json)
     timeout 60 target/release/probterm explain \
-        -e '(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0' \
+        -e '(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0' \
         --depth 4000 --deadline-ms 100 --format json > "$truncated_json"
     if grep -Eq '"complete": *false' "$truncated_json"; then
         echo "explain ok: deadline-cut exploration flagged incomplete"
@@ -191,7 +198,7 @@ if [ -x target/release/probterm ]; then
     smoke_request '{"id":1,"op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":30}' '"ok":true'
     smoke_request '{"id":2,"op":"verify","program":"(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1"}' '"verified":true'
     smoke_request '{"id":3,"op":"simulate","program":"(fix phi x. phi x) 0","runs":400000,"steps":2500,"deadline_ms":40}' '"code":"budget_exceeded"'
-    smoke_request '{"id":7,"op":"lower","program":"(fix phi x. if sample * sample <= 1/2 then x else phi (phi (phi x))) 0","depth":400,"deadline_ms":25}' '"complete":false'
+    smoke_request '{"id":7,"op":"lower","program":"(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0","depth":400,"deadline_ms":25}' '"complete":false'
     smoke_request '{"id":4,"op":"lower","program":"((("}' '"code":"parse_error"'
     smoke_request 'this is not json' '"code":"parse_error"'
     smoke_request '{"id":5,"op":"stats"}' '"misses":'
@@ -277,16 +284,16 @@ if [ -x target/release/probterm ]; then
         esac
     }
     geo='(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0'
-    # geo with a non-affine guard: each path needs the box sweep, so depth 80
+    # geo with a non-affine guard: each path needs the box sweep, so depth 250
     # takes about a second, over ten times run 2's deadline.
     slow_geo='(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0'
     # Engine run 1: a plain complete lower.
     chaos_request '{"id":1,"op":"lower","program":"'"$geo"'","depth":25}' '"ok":true'
     # Engine run 2: deadline-cut partial that must embed a resume checkpoint.
-    chaos_request '{"id":2,"op":"lower","program":"'"$slow_geo"'","depth":80,"deadline_ms":60}' '"checkpoint"'
+    chaos_request '{"id":2,"op":"lower","program":"'"$slow_geo"'","depth":250,"deadline_ms":60}' '"checkpoint"'
     # Engine run 3: a much richer retry resumes the checkpoint instead of
     # recomputing from scratch, and completes.
-    chaos_request '{"id":3,"op":"lower","program":"'"$slow_geo"'","depth":80,"deadline_ms":10000}' '"resumed":true'
+    chaos_request '{"id":3,"op":"lower","program":"'"$slow_geo"'","depth":250,"deadline_ms":10000}' '"resumed":true'
     # Engine run 4: the injected panic (panic=@4) surfaces as a structured
     # internal error, not a dead worker or a dropped line.
     chaos_request '{"id":4,"op":"verify","program":"(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1"}' '"code":"internal"'
