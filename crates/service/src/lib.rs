@@ -18,7 +18,8 @@
 //!   the finishing worker fans the reply (and streamed progress frames) out
 //!   to every waiter, and divergent deadlines are reconciled soundly —
 //!   richer joiners upgrade the run's budget, poorer ones receive the
-//!   anytime partial checkpoint,
+//!   sound bound the run's live progress cell holds at their deadline (with
+//!   no checkpoint — the run itself continues),
 //! * **deadlines** — per-request `deadline_ms` budgets enforced between
 //!   Monte-Carlo chunks and at engine boundaries; exceeding one yields a
 //!   `budget_exceeded` error and the worker lives on,
@@ -26,9 +27,11 @@
 //!   α-invariant canonical hash of the submitted program
 //!   ([`probterm_core::spcf::Term::canonical_key`]) plus the analysis and its
 //!   configuration, so α-equivalent resubmissions are cache hits (observable
-//!   via the `stats` op); with `--cache-path` the cache additionally
-//!   survives restarts via a version-stamped, atomically-rewritten JSONL
-//!   snapshot loaded at boot and persisted on graceful drain,
+//!   via the `stats` op); entries are typed — complete, or a partial with
+//!   its exact bound — and a partial never displaces a higher bound; with
+//!   `--cache-path` the cache additionally survives restarts via a
+//!   version-stamped, atomically-rewritten JSONL snapshot loaded (and
+//!   validated) at boot and persisted on graceful drain,
 //! * **telemetry** ([`metrics`]): every request is timed in phases (queue
 //!   wait, cache lookup, engine run, serialization) on monotonic clocks into
 //!   log-bucketed latency histograms; the `stats` op reports per-op
@@ -66,12 +69,12 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CacheKey, ResultCache};
+pub use cache::{CacheKey, Entry, EntryStatus, ResultCache, CACHE_SNAPSHOT_VERSION};
 pub use inject::{FaultRule, InjectDecision, InjectSpec};
 pub use metrics::{OpMetrics, OpMetricsSnapshot, PhaseTimes, ServiceMetrics};
 pub use protocol::{ErrorCode, Op, Request, ServiceError};
 pub use server::{
     handle_line, handle_line_frames, RunningServer, Server, ServerConfig, ServerState,
-    StatsSnapshot, CACHE_SNAPSHOT_VERSION,
+    StatsSnapshot,
 };
 pub use probterm_telemetry::TraceSink;

@@ -21,8 +21,10 @@ pub struct PhaseTimes {
     pub queue_us: u64,
     /// Result-cache lookup (and admission decision) time, in µs.
     pub cache_us: u64,
-    /// Engine run time (zero for control ops and cache hits), in µs.
-    pub engine_us: u64,
+    /// Engine run time, in µs; `None` when no engine ran (control ops,
+    /// cache hits, sheds, coalesced waiters, requests rejected before the
+    /// engine started).
+    pub engine_us: Option<u64>,
     /// Reply rendering time, in µs.
     pub serialize_us: u64,
     /// End-to-end time including queue wait, in µs.
@@ -42,7 +44,8 @@ pub struct OpMetrics {
     pub queue: Histogram,
     /// Cache-lookup latency (µs).
     pub cache: Histogram,
-    /// Engine-run latency (µs).
+    /// Engine-run latency (µs), over the requests that ran an engine — the
+    /// admission-control estimate reads its p95.
     pub engine: Histogram,
     /// Reply-serialization latency (µs).
     pub serialize: Histogram,
@@ -82,7 +85,7 @@ impl ServiceMetrics {
         &self.ops[op.index()]
     }
 
-    /// Records one handled request.
+    /// Records one handled request; its engine phase only if an engine ran.
     pub fn record(&self, op: Op, phases: &PhaseTimes, ok: bool) {
         let cell = self.op(op);
         cell.requests.incr();
@@ -92,7 +95,9 @@ impl ServiceMetrics {
         cell.total.record(phases.total_us);
         cell.queue.record(phases.queue_us);
         cell.cache.record(phases.cache_us);
-        cell.engine.record(phases.engine_us);
+        if let Some(engine_us) = phases.engine_us {
+            cell.engine.record(engine_us);
+        }
         cell.serialize.record(phases.serialize_us);
     }
 
@@ -309,7 +314,7 @@ mod tests {
         PhaseTimes {
             queue_us: total / 10,
             cache_us: total / 20,
-            engine_us: total / 2,
+            engine_us: Some(total / 2),
             serialize_us: total / 20,
             total_us: total,
         }

@@ -27,7 +27,7 @@
 //! keeps going. The cache can also survive restarts: with
 //! [`ServerConfig::cache_path`] set, a version-stamped length-prefixed
 //! JSONL snapshot is loaded at boot and atomically rewritten on graceful
-//! drain (see [`CACHE_SNAPSHOT_VERSION`]).
+//! drain (see [`crate::cache::CACHE_SNAPSHOT_VERSION`]).
 //!
 //! Deadlines: `deadline_ms` is enforced cooperatively — between Monte-Carlo
 //! chunks for `simulate`, and *inside* the symbolic engines for
@@ -47,7 +47,7 @@
 //! exploration frontier as a replayable checkpoint, so the retry replays
 //! straight to the unexplored subtrees and only pays for new work — and
 //! upgrades the entry. Partials never downgrade a complete entry or a
-//! deeper partial.
+//! partial with a higher exact bound.
 //!
 //! Overload protection: the transport readers run admission control before
 //! enqueueing. When the shared queue is deeper than
@@ -55,15 +55,15 @@
 //! before the predicted queue wait (queued jobs × the op's p95 engine time ÷
 //! workers), the reader replies immediately with a structured `overloaded`
 //! error carrying `retry_after_ms` instead of letting the request rot in the
-//! queue. Control ops (`stats`, `metrics`, `shutdown`, `catalog`) are never
-//! shed — they matter most under load. On shutdown the server drains
-//! gracefully: the accept loop stops, in-flight engine runs observe the
-//! draining flag through their budget checks and checkpoint to the cache,
-//! and the workers exit once the queue is empty. A deterministic
+//! queue. Control ops (`stats`, `metrics`, `inspect`, `shutdown`,
+//! `catalog`) are never shed — they matter most under load. On shutdown the
+//! server drains gracefully: the accept loop stops, in-flight engine runs
+//! observe the draining flag through their budget checks and checkpoint to
+//! the cache, and the workers exit once the queue is empty. A deterministic
 //! fault-injection harness ([`crate::inject`], CLI `--inject`) can make
 //! engine runs panic, stall, or drop their reply mid-line for chaos testing.
 
-use crate::cache::{CacheKey, ResultCache};
+use crate::cache::{CacheKey, Entry, EntryStatus, Lookup, ResultCache};
 use crate::inject::{InjectDecision, InjectSpec};
 use crate::metrics::{ops_value, render_prometheus, PhaseTimes, ServiceMetrics};
 use crate::protocol::{
@@ -72,10 +72,8 @@ use crate::protocol::{
 use probterm_telemetry::{Gauge, ProgressCell, ProgressSnapshot, SpanTimer, TraceSink};
 use probterm_core::astver::{try_verify_ast, VerifyError};
 use probterm_core::intervalsem::{
-    try_explain, try_lower_bound, ExplainConfig, LowerBoundCheckpoint, LowerBoundConfig,
-    LowerBoundResult, Poll, ReplaySeed,
+    try_explain, try_lower_bound, ExplainConfig, LowerBoundCheckpoint, LowerBoundConfig, Poll,
 };
-use probterm_core::numerics::Rational;
 use probterm_core::spcf::{
     catalog, parse_term, try_estimate_termination, MonteCarloConfig, Strategy, Term,
 };
@@ -202,7 +200,8 @@ pub struct StatsSnapshot {
     pub cache_persist_loaded: u64,
     /// Entries written to the cache snapshot on graceful drain.
     pub cache_persist_saved: u64,
-    /// Snapshot lines ignored at load (version mismatch or corruption).
+    /// Snapshot lines ignored at load (a version mismatch counts once; each
+    /// corrupt or invalid line counts).
     pub cache_persist_rejected: u64,
 }
 
@@ -448,121 +447,27 @@ impl ServerState {
 
     /// Loads the persistent cache snapshot named by
     /// [`ServerConfig::cache_path`], if any. A missing file is a fresh boot;
-    /// a version-mismatched header or corrupt line is ignored (counted in
-    /// `cache_persist_rejected`) — content addressing makes the snapshot
-    /// safe to rebuild from scratch at the next drain.
+    /// a version-mismatched file or an invalid line is ignored (counted in
+    /// `cache_persist_rejected`) and rebuilt at the next drain.
     fn load_cache_snapshot(&self) {
         let Some(path) = &self.config.cache_path else { return };
         let Ok(text) = fs::read_to_string(path) else { return };
-        let mut lines = text.lines();
-        if lines.next() != Some(CACHE_SNAPSHOT_VERSION) {
-            self.cache_persist_rejected.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let (mut loaded, mut rejected) = (0u64, 0u64);
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for line in lines.filter(|l| !l.is_empty()) {
-                match parse_snapshot_line(line) {
-                    Some((key, payload)) => {
-                        cache.put(key, payload);
-                        loaded += 1;
-                    }
-                    None => rejected += 1,
-                }
-            }
-        }
+        let (loaded, rejected) = self.cache.lock().expect("cache lock").load_snapshot(&text);
         self.cache_persist_loaded.fetch_add(loaded, Ordering::Relaxed);
         self.cache_persist_rejected.fetch_add(rejected, Ordering::Relaxed);
     }
 
     /// Writes the cache snapshot to [`ServerConfig::cache_path`] atomically
-    /// (temp file + rename), least-recently-used entries first so a later
-    /// truncated reload keeps the hottest ones. Returns the number of
-    /// entries written (0 when no path is configured).
+    /// (temp file + rename). Returns the number of entries written (0 when
+    /// no path is configured).
     fn persist_cache_snapshot(&self) -> io::Result<usize> {
         let Some(path) = &self.config.cache_path else { return Ok(0) };
-        let mut body = String::from(CACHE_SNAPSHOT_VERSION);
-        body.push('\n');
-        let count = {
-            use std::fmt::Write as _;
-            let cache = self.cache.lock().expect("cache lock");
-            let mut count = 0;
-            for (key, payload) in cache.entries() {
-                let line = render_snapshot_line(key, payload);
-                let _ = writeln!(body, "{} {line}", line.len());
-                count += 1;
-            }
-            count
-        };
+        let (body, count) = self.cache.lock().expect("cache lock").snapshot();
         let tmp = format!("{path}.tmp");
         fs::write(&tmp, body.as_bytes())?;
         fs::rename(&tmp, path)?;
         self.cache_persist_saved.fetch_add(count as u64, Ordering::Relaxed);
         Ok(count)
-    }
-}
-
-/// Version stamp on the first line of a cache snapshot file. Bump it when
-/// the entry schema changes: a snapshot with any other header is ignored
-/// wholesale (counted once in `cache_persist_rejected`) and rebuilt at the
-/// next graceful drain.
-pub const CACHE_SNAPSHOT_VERSION: &str = "probterm-cache-v1";
-
-/// Renders one snapshot entry as compact JSON (the part after the length
-/// prefix): the term key as 32 hex digits, the analysis tag, the config
-/// string and the cached payload.
-fn render_snapshot_line(key: &CacheKey, payload: &Value) -> String {
-    crate::protocol::render_line(Value::Object(vec![
-        ("term".into(), Value::Str(format!("{:032x}", key.term))),
-        ("analysis".into(), Value::Str(key.analysis.to_string())),
-        ("config".into(), Value::Str(key.config.clone())),
-        ("payload".into(), payload.clone()),
-    ]))
-}
-
-/// Parses one `<len> <json>` snapshot line back into a cache entry. `None`
-/// for anything that fails the length check, does not parse, or names an
-/// unknown analysis — the loader counts it and moves on.
-fn parse_snapshot_line(line: &str) -> Option<(CacheKey, Value)> {
-    let (len, json) = line.split_once(' ')?;
-    if len.parse::<usize>().ok()? != json.len() {
-        return None;
-    }
-    let entry: Value = serde_json::from_str(json).ok()?;
-    let term = u128::from_str_radix(entry.get("term")?.as_str()?, 16).ok()?;
-    // Map the persisted tag back onto the `&'static str` the cache interns.
-    let analysis = Op::from_str(entry.get("analysis")?.as_str()?)
-        .filter(|op| op.is_engine_op())?
-        .as_str();
-    let config = entry.get("config")?.as_str()?.to_string();
-    let payload = entry.get("payload")?.clone();
-    Some((CacheKey { term, analysis, config }, payload))
-}
-
-/// A cooperative wall-clock budget for one request.
-#[derive(Debug, Clone, Copy)]
-struct Deadline {
-    started: Instant,
-    limit: Option<Duration>,
-}
-
-impl Deadline {
-    /// A budget whose clock started `spent_us` ago. The deadline is a
-    /// client-facing latency promise measured from admission, not from run
-    /// start: time a job spends queued behind other work spends its budget,
-    /// so an admitted request is answered within roughly its own deadline
-    /// of enqueue — with the sound anytime partial computed in whatever
-    /// budget the wait left over. Without this, a full queue wait plus a
-    /// fresh full run stacks to ~2x the promised latency.
-    fn already_spent(deadline_ms: Option<u64>, spent_us: u64) -> Deadline {
-        let now = Instant::now();
-        Deadline {
-            started: now
-                .checked_sub(Duration::from_micros(spent_us))
-                .unwrap_or(now),
-            limit: deadline_ms.map(Duration::from_millis),
-        }
     }
 }
 
@@ -578,7 +483,9 @@ impl Deadline {
 /// run into an unbounded one mid-flight.
 #[derive(Clone, Copy)]
 struct RunBudget<'a> {
-    deadline: Deadline,
+    /// When the request's clock started: its admission, not the run start.
+    started: Instant,
+    limit: Option<Duration>,
     draining: &'a AtomicBool,
     flight_limit: Option<&'a AtomicU64>,
 }
@@ -596,13 +503,13 @@ impl RunBudget<'_> {
                 let ms = cell.load(Ordering::Relaxed);
                 (ms != u64::MAX).then(|| Duration::from_millis(ms))
             }
-            None => self.deadline.limit,
+            None => self.limit,
         }
     }
 
     fn deadline_exceeded(&self) -> bool {
         self.effective_limit()
-            .is_some_and(|limit| self.deadline.started.elapsed() > limit)
+            .is_some_and(|limit| self.started.elapsed() > limit)
     }
 
     fn exceeded(&self) -> bool {
@@ -615,7 +522,7 @@ impl RunBudget<'_> {
             format!(
                 "deadline of {} ms exceeded {phase} ({} ms elapsed)",
                 self.effective_limit().map(|l| l.as_millis()).unwrap_or(0),
-                self.deadline.started.elapsed().as_millis()
+                self.started.elapsed().as_millis()
             ),
         )
     }
@@ -693,20 +600,20 @@ struct FlightLease {
     limit_ms: Arc<AtomicU64>,
 }
 
-/// Writes one reply line (newline appended, single write) to a transport.
-fn write_reply_line(out: &SharedWriter, line: &str) {
+/// Writes one reply line to a transport, newline appended, in one write:
+/// two small writes would interact with Nagle + delayed ACKs and cost
+/// ~10 ms per lock-step request on TCP.
+fn write_reply_line(out: &SharedWriter, mut line: String) {
+    line.push('\n');
     if let Ok(mut out) = out.lock() {
-        let mut line = line.to_string();
-        line.push('\n');
         let _ = out.write_all(line.as_bytes());
         let _ = out.flush();
     }
 }
 
-/// Synthesizes and writes one waiter's reply, with its own served/metrics/
-/// trace bookkeeping (`coalesced: true` in the trace record; cache tag
-/// `"coalesced"` on success — the waiter consumed neither a cache lookup
-/// nor an engine run).
+/// Synthesizes and writes one waiter's reply through [`finish`] as a
+/// coalesced answer (cache tag `"coalesced"` on success — the waiter
+/// consumed neither a cache lookup nor an engine run).
 fn reply_waiter(
     state: &ServerState,
     op: Op,
@@ -714,35 +621,13 @@ fn reply_waiter(
     waiter: &Waiter,
     outcome: &Result<Value, ServiceError>,
 ) {
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let elapsed = waiter.registered.elapsed();
-    let (line, ok, outcome_str, tag) = match outcome {
-        Ok(value) => (
-            ok_reply(&waiter.id, op, Some("coalesced"), elapsed.as_millis(), value.clone()),
-            true,
-            "ok",
-            Some("coalesced"),
-        ),
-        Err(e) => (error_reply(&waiter.id, e), false, e.code.as_str(), None),
+    let answer = Answer {
+        canonical_key: Some(canonical_key),
+        coalesced: true,
+        ..Answer::new(&waiter.id, Some(op), waiter.registered)
     };
-    let phases = PhaseTimes {
-        total_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        ..Default::default()
-    };
-    state.metrics.record(op, &phases, ok);
-    emit_trace(
-        state,
-        seq,
-        &waiter.id,
-        Some(op),
-        Some(canonical_key),
-        &phases,
-        outcome_str,
-        tag,
-        true,
-    );
-    write_reply_line(&waiter.out, &line);
+    let line = finish(state, answer, outcome.clone().map(|value| (value, Some("coalesced"))));
+    write_reply_line(&waiter.out, line);
 }
 
 /// Removes a finished run's singleflight entry and fans its outcome out to
@@ -755,108 +640,21 @@ fn fanout_flight(
     op: Op,
     outcome: &Result<Value, ServiceError>,
 ) {
-    let waiters = {
-        let mut flights = match state.singleflight.lock() {
-            Ok(flights) => flights,
-            Err(_) => return,
-        };
-        match flights.remove(&flight.key) {
-            Some(group) => group.waiters,
-            None => return,
-        }
-    };
-    if waiters.is_empty() {
+    let removed = state.singleflight.lock().ok().and_then(|mut f| f.remove(&flight.key));
+    let Some(FlightGroup { waiters, .. }) = removed.filter(|group| !group.waiters.is_empty())
+    else {
         return;
-    }
+    };
     state.coalesce_fanout_max.ratchet(waiters.len() as u64);
     for waiter in &waiters {
         reply_waiter(state, op, flight.key.term, waiter, outcome);
     }
 }
 
-/// `true` when a cached/computed payload is a deadline-truncated partial
-/// result (`"complete": false`) rather than a finished analysis.
-fn payload_is_partial(payload: &Value) -> bool {
-    payload.get("complete").and_then(Value::as_bool) == Some(false)
-}
-
-/// Engine time a payload records having burned — the yardstick for whether a
-/// cached partial result is worth serving to a given budget.
-fn payload_engine_ms(payload: &Value) -> u128 {
-    payload
-        .get("engine_ms")
-        .and_then(Value::as_u64)
-        .map(u128::from)
-        .unwrap_or(0)
-}
-
-/// A cached partial is served to a deadline-bounded retry only when the
-/// retry's budget is within this factor of the engine time the entry already
-/// burned — a meaningfully richer budget recomputes (and upgrades the entry)
-/// instead of being handed a bound it had ample time to improve.
-const PARTIAL_SERVE_BUDGET_FACTOR: u128 = 2;
-
-/// Frontier-size cap on serialized checkpoints: a partial result with more
-/// paused paths than this is cached without one (a retry recomputes from
-/// scratch) — the entry stays bounded instead of ballooning the cache.
-const CHECKPOINT_MAX_FRONTIER: usize = 4096;
-
-/// Serializes a lower-bound checkpoint into the partial payload, so a richer
-/// retry can resume the exploration instead of recomputing it. Empty
-/// frontiers carry no resumable work and oversized ones are dropped (see
-/// [`CHECKPOINT_MAX_FRONTIER`]).
-fn checkpoint_value(checkpoint: &LowerBoundCheckpoint) -> Option<Value> {
-    if checkpoint.frontier.is_empty() || checkpoint.frontier.len() > CHECKPOINT_MAX_FRONTIER {
-        return None;
-    }
-    Some(Value::Object(vec![
-        ("probability".into(), Value::Str(checkpoint.probability.to_string())),
-        ("expected_steps".into(), Value::Str(checkpoint.expected_steps.to_string())),
-        ("paths".into(), Value::UInt(checkpoint.paths as u128)),
-        ("stuck".into(), Value::UInt(checkpoint.stuck_paths as u128)),
-        (
-            "frontier".into(),
-            Value::Array(
-                checkpoint.frontier.iter().map(|seed| Value::Str(seed.render())).collect(),
-            ),
-        ),
-    ]))
-}
-
-/// Recovers a resumable checkpoint from a cached partial `lower` payload.
-/// Returns `None` for complete entries, entries cached before checkpoints
-/// existed, and anything malformed — the caller then recomputes from
-/// scratch, which is always sound. A resumed bound is the checkpoint's mass
-/// plus new mass, so a probability outside [0, 1] or negative expected steps
-/// (a corrupt snapshot line) count as malformed.
-fn checkpoint_from_payload(payload: &Value) -> Option<LowerBoundCheckpoint> {
-    if !payload_is_partial(payload) {
-        return None;
-    }
-    let checkpoint = payload.get("checkpoint")?;
-    let probability = Rational::parse(checkpoint.get("probability")?.as_str()?)?;
-    let expected_steps = Rational::parse(checkpoint.get("expected_steps")?.as_str()?)?;
-    if probability.is_negative() || probability > Rational::one() || expected_steps.is_negative()
-    {
-        return None;
-    }
-    let paths = usize::try_from(checkpoint.get("paths")?.as_u64()?).ok()?;
-    let stuck_paths = usize::try_from(checkpoint.get("stuck")?.as_u64()?).ok()?;
-    let frontier = checkpoint
-        .get("frontier")?
-        .as_array()?
-        .iter()
-        .map(|seed| seed.as_str().and_then(ReplaySeed::parse))
-        .collect::<Option<Vec<ReplaySeed>>>()?;
-    if frontier.is_empty() {
-        return None;
-    }
-    Some(LowerBoundCheckpoint { probability, expected_steps, paths, stuck_paths, frontier })
-}
-
 // ------------------------------------------------------------------ dispatch
 
 /// What processing one line produced (pool-internal).
+#[derive(Default)]
 struct LineOutcome {
     reply: Option<String>,
     shutdown: bool,
@@ -879,11 +677,7 @@ type FrameSink<'a> = &'a (dyn Fn(&str) + 'a);
 /// (there is no transport to carry them); use [`handle_line_frames`] to
 /// capture them.
 pub fn handle_line(state: &ServerState, line: &str) -> Option<String> {
-    let outcome = process_line(state, line, 0, None, None);
-    if outcome.shutdown {
-        state.shutdown.store(true, Ordering::SeqCst);
-    }
-    outcome.reply
+    handle_line_frames(state, line, &|_| {})
 }
 
 /// Like [`handle_line`], but delivers streamed `{"progress": ...}` frames to
@@ -894,56 +688,117 @@ pub fn handle_line_frames(
     line: &str,
     frames: &dyn Fn(&str),
 ) -> Option<String> {
-    let outcome = process_line(state, line, 0, Some(frames), None);
+    let outcome = process_line(state, line, 0, frames, None);
     if outcome.shutdown {
         state.shutdown.store(true, Ordering::SeqCst);
     }
     outcome.reply
 }
 
+/// One answered request, as [`finish`] accounts it.
+struct Answer<'a> {
+    id: &'a Option<Value>,
+    /// `None` for unparseable lines: traced, but kept out of the per-op
+    /// histograms.
+    op: Option<Op>,
+    canonical_key: Option<u128>,
+    /// When this request's handling began (after any queue wait).
+    started: Instant,
+    /// The queue, cache and engine phases; [`finish`] adds the rest.
+    phases: PhaseTimes,
+    /// Fanned out from an identical in-flight run.
+    coalesced: bool,
+}
+
+impl<'a> Answer<'a> {
+    fn new(id: &'a Option<Value>, op: Option<Op>, started: Instant) -> Answer<'a> {
+        Answer {
+            id,
+            op,
+            canonical_key: None,
+            started,
+            phases: PhaseTimes::default(),
+            coalesced: false,
+        }
+    }
+}
+
+/// Renders the reply to one answered request and accounts it. This is the
+/// single exit of every request — run by a worker, answered or shed inline
+/// by the transport reader, or fanned out from a coalesced run: it bumps
+/// `served`, takes the next trace sequence number, records the per-op
+/// metrics (whose engine phase counts engine runs only) and writes the
+/// trace record and the slow-request line.
+fn finish(state: &ServerState, mut answer: Answer<'_>, result: DispatchResult) -> String {
+    let serialize = SpanTimer::start();
+    let (reply, outcome, cache) = match result {
+        Ok((payload, cache)) => {
+            let op = answer.op.expect("only parsed requests succeed");
+            let elapsed_ms = answer.started.elapsed().as_millis();
+            (ok_reply(answer.id, op, cache, elapsed_ms, payload), "ok", cache)
+        }
+        Err(e) => (error_reply(answer.id, &e), e.code.as_str(), None),
+    };
+    let phases = &mut answer.phases;
+    phases.serialize_us = serialize.elapsed_us();
+    phases.total_us = phases.queue_us.saturating_add(micros(answer.started.elapsed()));
+    state.served.fetch_add(1, Ordering::SeqCst);
+    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
+    if let Some(op) = answer.op {
+        state.metrics.record(op, &answer.phases, outcome == "ok");
+    }
+    emit_trace(state, seq, &answer, outcome, cache);
+    emit_slow(state, seq, &answer);
+    reply
+}
+
+/// The fields the trace record and the slow-request line share, in schema
+/// order: `canonical_key` (first 16 hex digits of the term's α-invariant
+/// hash; `null` off the engine path), the four phase timings and `total_us`,
+/// in microseconds (`engine_us` is 0 when no engine ran).
+fn key_and_phase_fields(answer: &Answer<'_>) -> [(String, Value); 6] {
+    let us = |v: u64| Value::UInt(u128::from(v));
+    let phases = &answer.phases;
+    [
+        (
+            "canonical_key".into(),
+            answer
+                .canonical_key
+                .map_or(Value::Null, |k| Value::Str(format!("{k:032x}")[..16].to_string())),
+        ),
+        ("queue_us".into(), us(phases.queue_us)),
+        ("cache_us".into(), us(phases.cache_us)),
+        ("engine_us".into(), us(phases.engine_us.unwrap_or(0))),
+        ("serialize_us".into(), us(phases.serialize_us)),
+        ("total_us".into(), us(phases.total_us)),
+    ]
+}
+
 /// Emits one per-request trace record when the state carries a sink.
 ///
 /// Schema (one JSON object per line, field order fixed): `seq` (server-wide
 /// request number), `id` (echoed request id), `op` (`"invalid"` for
-/// unparseable lines), `canonical_key` (first 16 hex digits of the term's
-/// α-invariant hash; `null` off the engine path), the four phase timings and
-/// `total_us` in microseconds, `outcome` (`"ok"` or the error code) and
-/// `cache` (`"hit"`/`"miss"`/`"coalesced"`/`null`). Replies fanned out to
-/// coalesced waiters additionally carry `"coalesced": true`.
-#[allow(clippy::too_many_arguments)]
+/// unparseable lines), the [`key_and_phase_fields`], `outcome` (`"ok"` or
+/// the error code) and `cache` (`"hit"`/`"miss"`/`"coalesced"`/`null`).
+/// Replies fanned out to coalesced waiters additionally carry
+/// `"coalesced": true`.
 fn emit_trace(
     state: &ServerState,
     seq: u64,
-    id: &Option<Value>,
-    op: Option<Op>,
-    canonical_key: Option<u128>,
-    phases: &PhaseTimes,
+    answer: &Answer<'_>,
     outcome: &str,
-    cache: Option<&'static str>,
-    coalesced: bool,
+    cache: Option<&str>,
 ) {
     let Some(sink) = &state.trace else { return };
     let mut record = vec![
         ("seq".into(), Value::UInt(u128::from(seq))),
-        ("id".into(), id.clone().unwrap_or(Value::Null)),
-        (
-            "op".into(),
-            Value::Str(op.map_or("invalid", Op::as_str).to_string()),
-        ),
-        (
-            "canonical_key".into(),
-            canonical_key
-                .map_or(Value::Null, |k| Value::Str(format!("{k:032x}")[..16].to_string())),
-        ),
-        ("queue_us".into(), Value::UInt(u128::from(phases.queue_us))),
-        ("cache_us".into(), Value::UInt(u128::from(phases.cache_us))),
-        ("engine_us".into(), Value::UInt(u128::from(phases.engine_us))),
-        ("serialize_us".into(), Value::UInt(u128::from(phases.serialize_us))),
-        ("total_us".into(), Value::UInt(u128::from(phases.total_us))),
-        ("outcome".into(), Value::Str(outcome.to_string())),
-        ("cache".into(), cache.map_or(Value::Null, |c| Value::Str(c.to_string()))),
+        ("id".into(), answer.id.clone().unwrap_or(Value::Null)),
+        ("op".into(), Value::Str(answer.op.map_or("invalid", Op::as_str).to_string())),
     ];
-    if coalesced {
+    record.extend(key_and_phase_fields(answer));
+    record.push(("outcome".into(), Value::Str(outcome.to_string())));
+    record.push(("cache".into(), cache.map_or(Value::Null, |c| Value::Str(c.to_string()))));
+    if answer.coalesced {
         record.push(("coalesced".into(), Value::Bool(true)));
     }
     sink.emit(record);
@@ -953,136 +808,92 @@ fn emit_trace(
 /// phase exceeded the configured [`ServerConfig::slow_ms`] threshold.
 ///
 /// Schema (one JSON object per line): `slow_ms` (the threshold), `seq`,
-/// `op`, `canonical_key` (first 16 hex digits of the α-invariant term hash)
-/// and the full phase breakdown in microseconds. Cache hits and control ops
-/// never trip it — their engine phase is zero.
-fn emit_slow(
-    state: &ServerState,
-    seq: u64,
-    op: Op,
-    canonical_key: Option<u128>,
-    phases: &PhaseTimes,
-) {
-    let (Some(threshold_ms), Some(sink)) = (state.config.slow_ms, &state.slow) else {
+/// `op` and the [`key_and_phase_fields`]. Requests that ran no engine —
+/// cache hits, control ops, sheds, coalesced waiters — never trip it.
+fn emit_slow(state: &ServerState, seq: u64, answer: &Answer<'_>) {
+    let (Some(threshold_ms), Some(sink), Some(op), Some(engine_us)) =
+        (state.config.slow_ms, &state.slow, answer.op, answer.phases.engine_us)
+    else {
         return;
     };
-    if u128::from(phases.engine_us) <= u128::from(threshold_ms) * 1_000 {
+    if u128::from(engine_us) <= u128::from(threshold_ms) * 1_000 {
         return;
     }
-    sink.emit(vec![
+    let mut record = vec![
         ("slow_ms".into(), Value::UInt(u128::from(threshold_ms))),
         ("seq".into(), Value::UInt(u128::from(seq))),
         ("op".into(), Value::Str(op.as_str().to_string())),
-        (
-            "canonical_key".into(),
-            canonical_key
-                .map_or(Value::Null, |k| Value::Str(format!("{k:032x}")[..16].to_string())),
-        ),
-        ("queue_us".into(), Value::UInt(u128::from(phases.queue_us))),
-        ("cache_us".into(), Value::UInt(u128::from(phases.cache_us))),
-        ("engine_us".into(), Value::UInt(u128::from(phases.engine_us))),
-        ("serialize_us".into(), Value::UInt(u128::from(phases.serialize_us))),
-        ("total_us".into(), Value::UInt(u128::from(phases.total_us))),
-    ]);
+    ];
+    record.extend(key_and_phase_fields(answer));
+    sink.emit(record);
 }
 
 fn process_line(
     state: &ServerState,
     line: &str,
     queue_us: u64,
-    frames: Option<FrameSink>,
+    frames: FrameSink,
     flight: Option<&FlightLease>,
 ) -> LineOutcome {
     if line.trim().is_empty() {
-        return LineOutcome { reply: None, shutdown: false, drop_reply: false };
+        return LineOutcome::default();
     }
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let timer = SpanTimer::start();
-    let mut phases = PhaseTimes { queue_us, ..Default::default() };
+    let started = Instant::now();
+    let phases = PhaseTimes { queue_us, ..Default::default() };
     let request = match parse_request(line) {
         Ok(r) => r,
         Err((id, e)) => {
-            let serialize = SpanTimer::start();
-            let reply = error_reply(&id, &e);
-            phases.serialize_us = serialize.elapsed_us();
-            phases.total_us = queue_us.saturating_add(timer.elapsed_us());
-            // Unparseable lines have no op to attribute latency to; they are
-            // traced but kept out of the per-op histograms. A flight lease on
-            // an unparseable line cannot happen (the reader parsed it to
-            // build the key), but if it ever did, its waiters must not hang.
+            // A flight lease on an unparseable line cannot happen (the
+            // reader parsed it to build the key), but if it ever did, its
+            // waiters must not hang.
             if let Some(flight) = flight {
                 fanout_flight(state, flight, Op::Lower, &Err(e.clone()));
             }
-            emit_trace(state, seq, &id, None, None, &phases, e.code.as_str(), None, false);
-            return LineOutcome { reply: Some(reply), shutdown: false, drop_reply: false };
+            let answer = Answer { phases, ..Answer::new(&id, None, started) };
+            return LineOutcome { reply: Some(finish(state, answer, Err(e))), ..Default::default() };
         }
     };
-    let id = request.id.clone();
-    let op = request.op;
-    let started = Instant::now();
-    let shutdown = op == Op::Shutdown;
-    let mut canonical_key = None;
+    let mut answer = Answer { phases, ..Answer::new(&request.id, Some(request.op), started) };
     let mut drop_reply = false;
-    let dispatched = dispatch(
-        state,
-        &request,
-        &mut phases,
-        &mut canonical_key,
-        &mut drop_reply,
-        frames,
-        flight,
-    );
+    let dispatched = match control_payload(state, request.op) {
+        Some(payload) => Ok((payload, None)),
+        None => engine_op(
+            state,
+            &request,
+            &mut answer.phases,
+            &mut answer.canonical_key,
+            &mut drop_reply,
+            frames,
+            flight,
+        ),
+    };
     // Fan the outcome out to every coalesced waiter the moment the leader's
     // run is decided — on success *and* on every error path (validation,
     // deadline, caught engine panic), so no waiter can hang.
     if let Some(flight) = flight {
-        let outcome = match &dispatched {
-            Ok((value, _)) => Ok(value.clone()),
-            Err(e) => Err(e.clone()),
-        };
-        fanout_flight(state, flight, op, &outcome);
+        let outcome = dispatched.as_ref().map(|(value, _)| value.clone()).map_err(Clone::clone);
+        fanout_flight(state, flight, request.op, &outcome);
     }
-    let (ok, cache_tag, outcome) = match &dispatched {
-        Ok((_, tag)) => (true, *tag, "ok"),
-        Err(e) => (false, None, e.code.as_str()),
-    };
-    let serialize = SpanTimer::start();
-    let reply = match dispatched {
-        Ok((result, cache_tag)) => {
-            ok_reply(&id, op, cache_tag, started.elapsed().as_millis(), result)
-        }
-        Err(e) => error_reply(&id, &e),
-    };
-    phases.serialize_us = serialize.elapsed_us();
-    phases.total_us = queue_us.saturating_add(timer.elapsed_us());
-    state.metrics.record(op, &phases, ok);
-    emit_trace(state, seq, &id, Some(op), canonical_key, &phases, outcome, cache_tag, false);
-    emit_slow(state, seq, op, canonical_key, &phases);
-    LineOutcome { reply: Some(reply), shutdown, drop_reply }
+    LineOutcome {
+        reply: Some(finish(state, answer, dispatched)),
+        shutdown: request.op == Op::Shutdown,
+        drop_reply,
+    }
 }
 
 type DispatchResult = Result<(Value, Option<&'static str>), ServiceError>;
 
-fn dispatch(
-    state: &ServerState,
-    request: &Request,
-    phases: &mut PhaseTimes,
-    canonical_key: &mut Option<u128>,
-    drop_reply: &mut bool,
-    frames: Option<FrameSink>,
-    flight: Option<&FlightLease>,
-) -> DispatchResult {
-    match request.op {
-        Op::Catalog => Ok((catalog_payload(), None)),
-        Op::Stats => Ok((stats_payload(state), None)),
-        Op::Metrics => Ok((metrics_payload(state), None)),
-        Op::Inspect => Ok((inspect_payload(state), None)),
-        Op::Shutdown => Ok((Value::Object(vec![]), None)),
-        Op::Simulate | Op::Lower | Op::Explain | Op::Verify | Op::Analyze => {
-            engine_op(state, request, phases, canonical_key, drop_reply, frames, flight)
-        }
-    }
+/// The payload of a control op; `None` for engine ops. Workers and the
+/// transport reader's inline path ([`serve_inline_control`]) share it.
+fn control_payload(state: &ServerState, op: Op) -> Option<Value> {
+    Some(match op {
+        Op::Catalog => catalog_payload(),
+        Op::Stats => stats_payload(state),
+        Op::Metrics => metrics_payload(state),
+        Op::Inspect => inspect_payload(state),
+        Op::Shutdown => Value::Object(vec![]),
+        Op::Simulate | Op::Lower | Op::Explain | Op::Verify | Op::Analyze => return None,
+    })
 }
 
 /// CLI-parity engine parameter defaults, shared by the worker and the
@@ -1136,7 +947,7 @@ fn engine_op(
     phases: &mut PhaseTimes,
     canonical_key: &mut Option<u128>,
     drop_reply: &mut bool,
-    frames: Option<FrameSink>,
+    frames: FrameSink,
     flight: Option<&FlightLease>,
 ) -> DispatchResult {
     let config = &state.config;
@@ -1180,60 +991,17 @@ fn engine_op(
     let term_key = term.canonical_key();
     *canonical_key = Some(term_key);
     let cache_key = request_cache_key(request, term_key);
-    // Complete entries are always served. Partial (deadline-truncated)
-    // entries are served only to retries whose budget is comparable to what
-    // the entry already burned — the caller gets the monotone bound computed
-    // so far instantly. A meaningfully richer (or unbounded) budget bypasses
-    // the entry instead — counted as a miss, since nothing was served — and
-    // when the entry embeds a resumable checkpoint, the recomputation
-    // *resumes* from the cached frontier, so the already-measured paths are
-    // never re-explored.
-    let mut resume: Option<(LowerBoundCheckpoint, u128)> = None;
-    {
-        enum Lookup {
-            Absent,
-            Serve,
-            Decline,
-        }
-        state.inflight_phase(&inflight_guard, "cache");
-        let cache_timer = SpanTimer::start();
-        let mut cache = state.cache.lock().expect("cache lock");
-        let decision = match cache.peek(&cache_key) {
-            None => Lookup::Absent,
-            Some(cached) if !payload_is_partial(cached) => Lookup::Serve,
-            Some(cached) => match request.deadline_ms {
-                Some(budget)
-                    if u128::from(budget)
-                        <= PARTIAL_SERVE_BUDGET_FACTOR * payload_engine_ms(cached).max(1) =>
-                {
-                    Lookup::Serve
-                }
-                _ => Lookup::Decline,
-            },
-        };
-        match decision {
-            Lookup::Serve => {
-                let cached = cache.get(&cache_key).expect("peeked entry is present");
-                phases.cache_us = cache_timer.elapsed_us();
-                return Ok((cached, Some("hit")));
-            }
-            // Register the miss through the normal lookup path.
-            Lookup::Absent => {
-                let _ = cache.get(&cache_key);
-            }
-            Lookup::Decline => {
-                if request.op == Op::Lower {
-                    resume = cache.peek(&cache_key).and_then(|cached| {
-                        let checkpoint = checkpoint_from_payload(cached)?;
-                        Some((checkpoint, payload_engine_ms(cached)))
-                    });
-                }
-                cache.record_declined();
-            }
-        }
-        drop(cache);
-        phases.cache_us = cache_timer.elapsed_us();
-    }
+    // The cache decides (see `cache::decide`): serve the entry, or run the
+    // engine — resuming from a declined partial's checkpoint, so the
+    // already-measured paths are never re-explored.
+    state.inflight_phase(&inflight_guard, "cache");
+    let cache_timer = SpanTimer::start();
+    let lookup = state.cache.lock().expect("cache lock").lookup(&cache_key, request.deadline_ms);
+    phases.cache_us = cache_timer.elapsed_us();
+    let resume = match lookup {
+        Lookup::Hit(payload) => return Ok((payload, Some("hit"))),
+        Lookup::Miss(resume) => resume,
+    };
 
     // Fault injection draws its decision from the engine-run counter, so the
     // schedule is a pure function of request order over cache misses.
@@ -1251,9 +1019,16 @@ fn engine_op(
         state.resumed.fetch_add(1, Ordering::SeqCst);
     }
 
-    let deadline = Deadline::already_spent(request.deadline_ms, phases.queue_us);
+    // The deadline is a client-facing latency promise measured from
+    // admission, not from run start: time a job spends queued behind other
+    // work spends its budget, so an admitted request is answered within
+    // roughly its own deadline of enqueue — with the sound anytime partial
+    // computed in whatever budget the wait left over. Without this, a full
+    // queue wait plus a fresh full run stacks to ~2x the promised latency.
+    let now = Instant::now();
     let budget = RunBudget {
-        deadline,
+        started: now.checked_sub(Duration::from_micros(phases.queue_us)).unwrap_or(now),
+        limit: request.deadline_ms.map(Duration::from_millis),
         draining: &state.draining,
         flight_limit: flight.map(|f| f.limit_ms.as_ref()),
     };
@@ -1261,20 +1036,15 @@ fn engine_op(
     // the run is coalesced: the same cooperative tick that renders the
     // leader's frames re-renders them for every streaming waiter and serves
     // deadline-expired waiters their sound partial bound mid-run.
-    let stream = (request.op == Op::Lower
-        && (flight.is_some() || (request.stream && frames.is_some())))
-    .then(|| StreamHandle {
-        emit: if request.stream { frames } else { None },
-        id: &request.id,
-        progress: &progress,
-        started: Instant::now(),
-        last: None.into(),
-        fanout: flight.map(|flight| FrameFanout {
-            state,
-            flight,
-            op: request.op,
-            depth,
-        }),
+    let stream = (request.op == Op::Lower && (flight.is_some() || request.stream)).then(|| {
+        StreamHandle {
+            emit: request.stream.then_some(frames),
+            id: &request.id,
+            progress: &progress,
+            started: Instant::now(),
+            last: None.into(),
+            fanout: flight.map(|flight| FrameFanout { state, flight, op: request.op, depth }),
+        }
     });
     state.inflight_phase(&inflight_guard, "engine");
     let engine_timer = SpanTimer::start();
@@ -1300,11 +1070,11 @@ fn engine_op(
         }
     }));
     state.inflight.fetch_sub(1, Ordering::SeqCst);
-    phases.engine_us = engine_timer.elapsed_us();
+    phases.engine_us = Some(engine_timer.elapsed_us());
     if budget.draining() {
         state.drained_in_flight.fetch_add(1, Ordering::SeqCst);
     }
-    let payload = computed
+    let entry = computed
         .map_err(|panic| {
             let message = panic
                 .downcast_ref::<&str>()
@@ -1314,32 +1084,22 @@ fn engine_op(
             ServiceError::new(ErrorCode::Internal, format!("engine failure: {message}"))
         })
         .and_then(|r| r)?;
-    if payload.get("checkpoint").is_some() {
+    let complete = entry.status == EntryStatus::Complete;
+    if matches!(entry.status, EntryStatus::Partial { checkpoint: Some(_), .. }) {
         state.checkpointed_frontiers.fetch_add(1, Ordering::SeqCst);
     }
     // Cache before the final deadline check: a result that finished late is
     // still a result, and caching it makes an identical retry an instant hit
-    // instead of a doomed recomputation. The re-check happens under the lock
-    // at write time: a partial result must never *downgrade* an entry —
-    // concurrently, another worker may have stored the complete answer, or a
-    // partial that burned more engine time, since our lookup above.
-    let partial = payload_is_partial(&payload);
-    {
-        let mut cache = state.cache.lock().expect("cache lock");
-        let keep_existing = partial
-            && cache.peek(&cache_key).is_some_and(|existing| {
-                !payload_is_partial(existing)
-                    || payload_engine_ms(existing) >= payload_engine_ms(&payload)
-            });
-        if !keep_existing {
-            cache.put(cache_key, payload.clone());
-        }
-    }
+    // instead of a doomed recomputation. `offer` applies the no-downgrade
+    // rule under the lock: concurrently, another worker may have stored the
+    // complete answer, or a higher partial bound, since our lookup above.
+    let payload = entry.payload.clone();
+    state.cache.lock().expect("cache lock").offer(cache_key, entry);
     // Partial payloads *are* the deadline-truncated answer — they must not be
     // demoted to a bare `budget_exceeded` by the final check. The check goes
     // through the budget, not the raw deadline, so a flight limit a joiner
     // upgraded mid-run is honoured here too.
-    if !partial {
+    if complete {
         budget.final_deadline_check("after the engine completed")?;
     }
     Ok((payload, Some("miss")))
@@ -1365,7 +1125,7 @@ fn simulate_payload(
     seed: u64,
     strategy: Strategy,
     budget: &RunBudget,
-) -> Result<Value, ServiceError> {
+) -> Result<Entry, ServiceError> {
     const CHUNK: usize = 32;
     let config = MonteCarloConfig { runs, max_steps, seed, strategy };
     let estimate = try_estimate_termination(term, &config, |i| {
@@ -1375,7 +1135,7 @@ fn simulate_payload(
             Ok(())
         }
     })?;
-    Ok(Value::Object(vec![
+    Ok(Entry::complete(Value::Object(vec![
         ("runs".into(), Value::UInt(estimate.runs as u128)),
         ("terminated".into(), Value::UInt(estimate.terminated as u128)),
         ("stuck".into(), Value::UInt(estimate.stuck as u128)),
@@ -1387,17 +1147,9 @@ fn simulate_payload(
         ("steps".into(), Value::UInt(max_steps as u128)),
         ("seed".into(), Value::UInt(seed as u128)),
         ("strategy".into(), Value::Str(strategy_str(strategy).into())),
-    ]))
+    ])))
 }
 
-/// Interruptible, *resumable* lower-bound computation. The budget (deadline
-/// or drain) is polled inside the symbolic exploration — which now measures
-/// each path's volume the moment it terminates, so the accumulated bound is
-/// monotone and interruptible at every step, never a deadline-blind post-hoc
-/// pass. An expired budget yields the sound partial bound so far, marked
-/// `"complete": false`, together with a replayable `checkpoint` of the
-/// exploration frontier; a retry with a richer budget passes the cached
-/// checkpoint back in and resumes where the truncated run stopped.
 /// How often a `"stream": true` `lower` run emits a progress frame. Small
 /// enough that a deadline-bounded run still produces several frames; large
 /// enough that frames never dominate a fast run's wire traffic.
@@ -1486,7 +1238,7 @@ impl FrameFanout<'_> {
         };
         for (id, out) in &streamers {
             let frame = progress_frame(id, progress_value(snap, elapsed_ms));
-            write_reply_line(out, &frame);
+            write_reply_line(out, frame);
         }
         if expired.is_empty() {
             return;
@@ -1560,18 +1312,25 @@ fn inspect_payload(state: &ServerState) -> Value {
     ])
 }
 
-/// Runs the lower-bound engine under the request's budget. Its poll hook
-/// publishes the run's live progress (seeded with the checkpoint's mass, so
-/// the bound stays monotone across a resume chain), emits stream frames and
-/// checks the deadline.
+/// Interruptible, *resumable* lower-bound computation. The budget (deadline
+/// or drain) is polled inside the symbolic exploration — which measures each
+/// path's volume the moment it terminates, so the accumulated bound is
+/// monotone and interruptible at every step, never a deadline-blind post-hoc
+/// pass. An expired budget yields the sound partial bound so far, marked
+/// `"complete": false`, together with a replayable `checkpoint` of the
+/// exploration frontier; a retry with a richer budget passes the cached
+/// checkpoint back in and resumes where the truncated run stopped. The poll
+/// hook publishes the run's live progress (seeded with the checkpoint's
+/// mass, so the bound stays monotone across a resume chain), emits stream
+/// frames and checks the deadline.
 fn lower_payload(
     term: &Term,
     depth: usize,
     budget: &RunBudget,
-    resume: Option<&(LowerBoundCheckpoint, u128)>,
+    resume: Option<&(LowerBoundCheckpoint, u64)>,
     progress: &ProgressCell,
     stream: Option<&StreamHandle>,
-) -> Result<Value, ServiceError> {
+) -> Result<Entry, ServiceError> {
     budget.check("before the lower-bound engine started")?;
     let config = LowerBoundConfig::default().with_depth(depth);
     let prior = resume.map(|(checkpoint, _)| checkpoint);
@@ -1599,19 +1358,11 @@ fn lower_payload(
         budget.check("during symbolic exploration")
     };
     let run = try_lower_bound(term, &config, prior, &mut poll);
-    Ok(lower_result_value(&run.result, depth, &run.checkpoint, resume))
-}
-
-fn lower_result_value(
-    result: &LowerBoundResult,
-    depth: usize,
-    checkpoint: &LowerBoundCheckpoint,
-    resume: Option<&(LowerBoundCheckpoint, u128)>,
-) -> Value {
+    let result = &run.result;
     // Cumulative engine time across the resume chain: the cache's yardstick
     // for "is this entry worth serving" must count the work the bound
     // embodies, not just this run's slice.
-    let prior_ms = resume.map_or(0, |(_, ms)| *ms);
+    let work_ms = resume.map_or(0, |(_, ms)| *ms) + millis(result.elapsed);
     let mut fields = vec![
         ("probability".into(), Value::Str(result.probability.to_decimal_string(10))),
         ("probability_f64".into(), Value::Num(result.probability.to_f64())),
@@ -1621,17 +1372,28 @@ fn lower_result_value(
         ("stuck_paths".into(), Value::UInt(result.stuck_paths as u128)),
         ("depth".into(), Value::UInt(depth as u128)),
         ("complete".into(), Value::Bool(!result.interrupted)),
-        ("engine_ms".into(), Value::UInt(prior_ms + result.elapsed.as_millis())),
+        ("engine_ms".into(), Value::UInt(u128::from(work_ms))),
     ];
     if resume.is_some() {
         fields.push(("resumed".into(), Value::Bool(true)));
     }
-    if result.interrupted {
-        if let Some(value) = checkpoint_value(checkpoint) {
-            fields.push(("checkpoint".into(), value));
-        }
-    }
-    Value::Object(fields)
+    Ok(Entry::from_run(
+        Value::Object(fields),
+        !result.interrupted,
+        &result.probability,
+        work_ms,
+        Some(run.checkpoint),
+    ))
+}
+
+/// A duration in whole milliseconds, saturating.
+fn millis(duration: Duration) -> u64 {
+    u64::try_from(duration.as_millis()).unwrap_or(u64::MAX)
+}
+
+/// A duration in whole microseconds, saturating.
+fn micros(duration: Duration) -> u64 {
+    u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Interruptible provenance computation: the same symbolic engine as
@@ -1646,22 +1408,25 @@ fn explain_payload(
     depth: usize,
     top: Option<usize>,
     budget: &RunBudget,
-) -> Result<Value, ServiceError> {
+) -> Result<Entry, ServiceError> {
     budget.check("before the explain engine started")?;
     let config = ExplainConfig::default()
         .with_lower(LowerBoundConfig::default().with_depth(depth));
     let (provenance, _interruption) =
         try_explain(term, &config, &mut |_| budget.check("during symbolic exploration"));
-    let engine_ms = provenance.result.elapsed.as_millis();
+    let result = &provenance.result;
+    let engine_ms = millis(result.elapsed);
     let Value::Object(mut fields) =
         probterm_explain::render_json(&provenance, source, depth, top)
     else {
         unreachable!("render_json returns an object");
     };
-    // `engine_ms` is the cache's partial-entry yardstick (the artifact's own
-    // `elapsed_ms` is part of the documented schema and stays untouched).
-    fields.push(("engine_ms".into(), Value::UInt(engine_ms)));
-    Ok(Value::Object(fields))
+    // `engine_ms` reports the engine time a partial entry's `work_ms` holds,
+    // like every engine reply (the artifact's own `elapsed_ms` is part of
+    // the documented schema and stays untouched).
+    fields.push(("engine_ms".into(), Value::UInt(u128::from(engine_ms))));
+    let payload = Value::Object(fields);
+    Ok(Entry::from_run(payload, !result.interrupted, &result.probability, engine_ms, None))
 }
 
 /// Interruptible AST verification: the deadline is polled inside tree
@@ -1669,14 +1434,14 @@ fn explain_payload(
 /// sound partial answer (a truncated strategy enumeration proves nothing),
 /// so an expired budget is still a structured `budget_exceeded` — but it now
 /// fires *mid-engine* instead of only before/after it.
-fn verify_payload(term: &Term, budget: &RunBudget) -> Result<Value, ServiceError> {
+fn verify_payload(term: &Term, budget: &RunBudget) -> Result<Entry, ServiceError> {
     budget.check("before the AST verifier started")?;
     let mut check = || if budget.exceeded() { Err(()) } else { Ok(()) };
     let v = try_verify_ast(term, &mut check).map_err(|e| match e {
         VerifyError::Interrupted => budget.error("inside the AST verifier"),
         other => ServiceError::new(ErrorCode::NotApplicable, other.to_string()),
     })?;
-    Ok(Value::Object(vec![
+    Ok(Entry::complete(Value::Object(vec![
         ("verified".into(), Value::Bool(v.verified_ast)),
         ("papprox".into(), Value::Str(v.papprox.to_string())),
         ("strategies".into(), Value::UInt(v.strategies as u128)),
@@ -1685,7 +1450,7 @@ fn verify_payload(term: &Term, budget: &RunBudget) -> Result<Value, ServiceError
         ("rank".into(), Value::UInt(v.rank as u128)),
         ("corollary_5_13".into(), Value::Bool(v.verified_by_corollary_5_13)),
         ("engine_ms".into(), Value::UInt(v.elapsed.as_millis())),
-    ]))
+    ])))
 }
 
 /// The combined report. The pipeline itself lives in
@@ -1702,7 +1467,7 @@ fn analyze_payload(
     steps: usize,
     seed: u64,
     budget: &RunBudget,
-) -> Result<Value, ServiceError> {
+) -> Result<Entry, ServiceError> {
     budget.check("before the combined analysis started")?;
     let engine_started = Instant::now();
     let config = AnalysisConfig {
@@ -1715,7 +1480,7 @@ fn analyze_payload(
     let mut check = || if budget.exceeded() { Err(()) } else { Ok(()) };
     let analysis = try_analyze_budgeted(term, &config, &mut check)
         .map_err(|e| ServiceError::new(ErrorCode::NotApplicable, e.to_string()))?;
-    let engine_ms = engine_started.elapsed().as_millis();
+    let engine_ms = millis(engine_started.elapsed());
     let report = &analysis.report;
 
     let monte_carlo = match &report.monte_carlo {
@@ -1728,7 +1493,7 @@ fn analyze_payload(
             ("mean_steps".into(), Value::Num(mc.mean_steps)),
         ]),
     };
-    Ok(Value::Object(vec![
+    let payload = Value::Object(vec![
         ("type".into(), Value::Str(report.simple_type.to_string())),
         (
             "lower".into(),
@@ -1768,8 +1533,10 @@ fn analyze_payload(
         ),
         ("monte_carlo".into(), monte_carlo),
         ("complete".into(), Value::Bool(analysis.complete)),
-        ("engine_ms".into(), Value::UInt(engine_ms)),
-    ]))
+        ("engine_ms".into(), Value::UInt(u128::from(engine_ms))),
+    ]);
+    let bound = &report.lower_bound.probability;
+    Ok(Entry::from_run(payload, analysis.complete, bound, engine_ms, None))
 }
 
 fn catalog_payload() -> Value {
@@ -2020,23 +1787,8 @@ fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
     let error = ServiceError::new(ErrorCode::Overloaded, message)
         .with_retry_after(predicted_wait_ms.max(1));
     state.shed.fetch_add(1, Ordering::SeqCst);
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let reply = error_reply(&request.id, &error);
-    let phases = PhaseTimes::default();
-    state.metrics.record(request.op, &phases, false);
-    emit_trace(
-        state,
-        seq,
-        &request.id,
-        Some(request.op),
-        None,
-        &phases,
-        error.code.as_str(),
-        None,
-        false,
-    );
-    Some(reply)
+    let answer = Answer::new(&request.id, Some(request.op), Instant::now());
+    Some(finish(state, answer, Err(error)))
 }
 
 /// Serves a read-only control op (`catalog`, `stats`, `metrics`,
@@ -2046,35 +1798,25 @@ fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
 /// `shutdown` stays on the pool: its reply-then-flag ordering anchors the
 /// graceful drain. Engine ops (and unparseable lines) return `None`.
 fn serve_inline_control(state: &ServerState, request: &Request) -> Option<String> {
-    let timer = SpanTimer::start();
-    let payload = match request.op {
-        Op::Catalog => catalog_payload(),
-        Op::Stats => stats_payload(state),
-        Op::Metrics => metrics_payload(state),
-        Op::Inspect => inspect_payload(state),
-        _ => return None,
-    };
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let mut phases = PhaseTimes::default();
-    let serialize = SpanTimer::start();
-    let reply = ok_reply(&request.id, request.op, None, 0, payload);
-    phases.serialize_us = serialize.elapsed_us();
-    phases.total_us = timer.elapsed_us();
-    state.metrics.record(request.op, &phases, true);
-    emit_trace(state, seq, &request.id, Some(request.op), None, &phases, "ok", None, false);
-    Some(reply)
+    if request.op == Op::Shutdown {
+        return None;
+    }
+    let started = Instant::now();
+    let payload = control_payload(state, request.op)?;
+    let answer = Answer::new(&request.id, Some(request.op), started);
+    Some(finish(state, answer, Ok((payload, None))))
 }
 
-/// Serves a *complete* cached entry straight from the transport reader.
-/// [`route_line`] has already paid for the request parse and the canonical
-/// key, so a warm hit needs no queue slot, no worker handoff and no second
-/// parse — on a lock-step client that removes two scheduler round-trips per
-/// request. Returns `None` for misses, partial (deadline-truncated) entries
-/// and over-cap requests, which all fall through to a worker: `engine_op`
-/// owns miss/decline accounting, resume semantics and error rendering. An
-/// inline hit is served too fast to be observable via `inspect`, so it
-/// skips the in-flight registry.
+/// Serves a cached entry straight from the transport reader when the cache
+/// would serve it to this request ([`crate::cache::decide`]). [`route_line`]
+/// has already paid for the request parse and the canonical key, so a warm
+/// hit needs no queue slot, no worker handoff and no second parse — on a
+/// lock-step client that removes two scheduler round-trips per request.
+/// Returns `None` for everything else (misses, declined partials, over-cap
+/// requests), which falls through to a worker: `engine_op` owns miss
+/// accounting, resume semantics and error rendering. An inline hit is served
+/// too fast to be observable via `inspect`, so it skips the in-flight
+/// registry.
 fn serve_inline_hit(state: &ServerState, request: &Request, key: &CacheKey) -> Option<String> {
     let EngineParams { depth, runs, steps, .. } = engine_params(request);
     let config = &state.config;
@@ -2084,37 +1826,12 @@ fn serve_inline_hit(state: &ServerState, request: &Request, key: &CacheKey) -> O
     if depth > config.max_depth || runs > config.max_runs || steps > config.max_steps {
         return None;
     }
-    let timer = SpanTimer::start();
-    let cached = {
-        let mut cache = state.cache.lock().expect("cache lock");
-        match cache.peek(key) {
-            Some(entry) if !payload_is_partial(entry) => {
-                cache.get(key).expect("peeked entry is present")
-            }
-            _ => return None,
-        }
-    };
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let mut phases = PhaseTimes { cache_us: timer.elapsed_us(), ..Default::default() };
-    let serialize = SpanTimer::start();
-    let reply = ok_reply(&request.id, request.op, Some("hit"), 0, cached);
-    phases.serialize_us = serialize.elapsed_us();
-    phases.total_us = timer.elapsed_us();
-    state.metrics.record(request.op, &phases, true);
-    emit_trace(
-        state,
-        seq,
-        &request.id,
-        Some(request.op),
-        Some(key.term),
-        &phases,
-        "ok",
-        Some("hit"),
-        false,
-    );
-    emit_slow(state, seq, request.op, Some(key.term), &phases);
-    Some(reply)
+    let started = Instant::now();
+    let cached = state.cache.lock().expect("cache lock").serve(key, request.deadline_ms)?;
+    let mut answer = Answer::new(&request.id, Some(request.op), started);
+    answer.canonical_key = Some(key.term);
+    answer.phases.cache_us = micros(started.elapsed());
+    Some(finish(state, answer, Ok((cached, Some("hit")))))
 }
 
 /// Where a routed line goes.
@@ -2204,32 +1921,35 @@ fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
 fn idle_close(state: &ServerState, out: &SharedWriter) {
     state.idle_closed.fetch_add(1, Ordering::SeqCst);
     let ms = state.config.idle_timeout_ms.unwrap_or(0);
-    let mut notice = error_reply(
-        &None,
-        &ServiceError::new(
-            ErrorCode::IdleTimeout,
-            format!("connection idle for more than {ms} ms; closing"),
-        ),
+    let error = ServiceError::new(
+        ErrorCode::IdleTimeout,
+        format!("connection idle for more than {ms} ms; closing"),
     );
-    notice.push('\n');
+    write_reply_line(out, error_reply(&None, &error));
     if let Ok(mut out) = out.lock() {
-        let _ = out.write_all(notice.as_bytes());
-        let _ = out.flush();
         out.abort();
     }
 }
 
-/// Enqueues one admitted line on its shard queue, keeping the queued-jobs
-/// gauge (the admission-control input) and the shard-depth gauge in sync.
-/// Returns `false` when the pool is gone.
-fn enqueue_job(
+/// The step both serve loops take for each framed line: route it
+/// ([`route_line`]), then write the inline reply, leave a coalesced request
+/// to its leader, or enqueue the line on its shard queue — keeping the
+/// queued-jobs gauge (the admission-control input) and the shard-depth gauge
+/// in sync. Returns `false` when the pool is gone.
+fn route_or_enqueue(
     state: &ServerState,
     senders: &[mpsc::Sender<Job>],
-    shard: usize,
     line: String,
     out: &SharedWriter,
-    flight: Option<FlightLease>,
 ) -> bool {
+    let (shard, flight) = match route_line(state, &line, out) {
+        Routed::Reply(reply) => {
+            write_reply_line(out, reply);
+            return true;
+        }
+        Routed::Coalesced => return true,
+        Routed::Enqueue { shard, flight } => (shard, flight),
+    };
     // Relaxed: both gauges feed heuristics (admission, stats), not an
     // ordering-sensitive protocol — see `admission_reply`.
     state.queued.fetch_add(1, Ordering::Relaxed);
@@ -2248,6 +1968,23 @@ fn enqueue_job(
         return false;
     }
     true
+}
+
+/// The graceful drain both serve loops end with once they stop taking
+/// input: the workers finish or checkpoint what is queued and in flight
+/// (the engines' budget checks observe the draining flag), the pool exits,
+/// and the cache snapshot is written for the next boot.
+fn drain(
+    state: &ServerState,
+    senders: Vec<mpsc::Sender<Job>>,
+    workers: Vec<thread::JoinHandle<()>>,
+) -> io::Result<()> {
+    state.draining.store(true, Ordering::SeqCst);
+    drop(senders);
+    for worker in workers {
+        let _ = worker.join();
+    }
+    state.persist_cache_snapshot().map(drop)
 }
 
 fn spawn_workers(
@@ -2337,47 +2074,32 @@ fn spawn_workers(
                         };
                         state.queued.fetch_sub(1, Ordering::Relaxed);
                         state.shard_depths[job.shard].sub(1);
-                        let queue_us = u64::try_from(job.enqueued.elapsed().as_micros())
-                            .unwrap_or(u64::MAX);
+                        let queue_us = micros(job.enqueued.elapsed());
                         // Streamed progress frames go straight to the
                         // originating connection, each under its own lock
                         // acquisition so replies to interleaved requests on
                         // the same connection are never blocked for a whole
                         // run.
-                        let frame_out = Arc::clone(&job.out);
-                        let emit_frame = move |frame: &str| {
-                            if let Ok(mut out) = frame_out.lock() {
-                                let _ = out.write_all(frame.as_bytes());
-                                let _ = out.write_all(b"\n");
-                                let _ = out.flush();
-                            }
-                        };
+                        let emit_frame = |frame: &str| write_reply_line(&job.out, frame.into());
                         let outcome = process_line(
                             &state,
                             &job.line,
                             queue_us,
-                            Some(&emit_frame),
+                            &emit_frame,
                             job.flight.as_ref(),
                         );
-                        if let Some(mut reply) = outcome.reply {
-                            reply.push('\n');
-                            if let Ok(mut out) = job.out.lock() {
-                                if outcome.drop_reply {
-                                    // Injected fault: half the bytes, then a
-                                    // hard close mid-line.
-                                    let half = reply.len() / 2;
-                                    let _ = out.write_all(&reply.as_bytes()[..half]);
+                        match outcome.reply {
+                            Some(reply) if outcome.drop_reply => {
+                                // Injected fault: half the bytes, then a hard
+                                // close mid-line.
+                                if let Ok(mut out) = job.out.lock() {
+                                    let _ = out.write_all(&reply.as_bytes()[..reply.len() / 2]);
                                     let _ = out.flush();
                                     out.abort();
-                                } else {
-                                    // One write per reply: two small writes
-                                    // would interact with Nagle + delayed
-                                    // ACKs and cost ~10 ms per lock-step
-                                    // request on TCP.
-                                    let _ = out.write_all(reply.as_bytes());
-                                    let _ = out.flush();
                                 }
                             }
+                            Some(reply) => write_reply_line(&job.out, reply),
+                            None => {}
                         }
                         // The flag is set only after the reply is flushed,
                         // so a `shutdown` reply is on the wire before the
@@ -2507,15 +2229,11 @@ impl Server {
         let mut read_error = None;
         while !self.state.shutdown_requested() {
             match line_receiver.recv_timeout(Duration::from_millis(25)) {
-                Ok(Ok(line)) => match route_line(&self.state, &line, &out) {
-                    Routed::Reply(reply) => write_reply_line(&out, &reply),
-                    Routed::Coalesced => {}
-                    Routed::Enqueue { shard, flight } => {
-                        if !enqueue_job(&self.state, &senders, shard, line, &out, flight) {
-                            break;
-                        }
+                Ok(Ok(line)) => {
+                    if !route_or_enqueue(&self.state, &senders, line, &out) {
+                        break;
                     }
-                },
+                }
                 Ok(Err(e)) => {
                     read_error = Some(e);
                     break;
@@ -2524,19 +2242,8 @@ impl Server {
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
-        // Graceful drain: stop accepting input (done — the loop exited), let
-        // the workers finish or checkpoint everything queued, then snapshot
-        // the cache for the next boot and leave.
-        self.state.draining.store(true, Ordering::SeqCst);
-        drop(senders);
-        for worker in workers {
-            let _ = worker.join();
-        }
-        self.state.persist_cache_snapshot()?;
-        match read_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        drain(&self.state, senders, workers)?;
+        read_error.map_or(Ok(()), Err)
     }
 
     /// Serves newline-delimited JSON over TCP until a `shutdown` request,
@@ -2653,21 +2360,8 @@ impl Server {
                     let line = String::from_utf8_lossy(&raw[..pos])
                         .trim_end_matches('\r')
                         .to_string();
-                    match route_line(&self.state, &line, &conn.out) {
-                        Routed::Reply(reply) => write_reply_line(&conn.out, &reply),
-                        Routed::Coalesced => {}
-                        Routed::Enqueue { shard, flight } => {
-                            if !enqueue_job(
-                                &self.state,
-                                &senders,
-                                shard,
-                                line,
-                                &conn.out,
-                                flight,
-                            ) {
-                                conn.closed = true;
-                            }
-                        }
+                    if !route_or_enqueue(&self.state, &senders, line, &conn.out) {
+                        conn.closed = true;
                     }
                 }
                 if !conn.closed {
@@ -2712,19 +2406,8 @@ impl Server {
                 }
             }
         }
-        // Graceful drain: the event loop has stopped; workers finish or
-        // checkpoint what is queued and in flight, the pool exits, and the
-        // cache snapshot is written for the next boot.
-        self.state.draining.store(true, Ordering::SeqCst);
-        drop(senders);
-        for worker in workers {
-            let _ = worker.join();
-        }
-        self.state.persist_cache_snapshot()?;
-        match fatal {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        drain(&self.state, senders, workers)?;
+        fatal.map_or(Ok(()), Err)
     }
 
     /// Binds `addr` and serves it on a background thread; returns the bound
@@ -2747,6 +2430,8 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use probterm_core::intervalsem::ReplaySeed;
+    use probterm_core::numerics::Rational;
 
     fn server() -> Server {
         Server::new(ServerConfig { workers: 1, ..Default::default() })
@@ -2894,7 +2579,13 @@ mod tests {
             ("complete".into(), Value::Bool(false)),
             ("engine_ms".into(), Value::UInt(500)),
         ]);
-        s.state().cache.lock().unwrap().put(key.clone(), partial.clone());
+        let status = EntryStatus::Partial {
+            bound: Rational::from_ratio(1, 4),
+            work_ms: 500,
+            checkpoint: None,
+        };
+        let entry = Entry { payload: partial.clone(), status };
+        s.state().cache.lock().unwrap().put(key.clone(), entry);
         // A retry whose budget is comparable to what the entry burned is
         // served the partial as an instant hit.
         let bounded = s
@@ -2920,7 +2611,7 @@ mod tests {
         // The upgraded entry now serves every retry, bounded or not.
         {
             let cache = s.state().cache.lock().unwrap();
-            let upgraded = cache.peek(&key).unwrap();
+            let upgraded = &cache.peek(&key).unwrap().payload;
             assert_eq!(upgraded.get("complete").and_then(Value::as_bool), Some(true));
         }
         let unbounded = s
@@ -2986,39 +2677,132 @@ mod tests {
         assert!(stats.checkpointed_frontiers >= 1);
     }
 
+    /// Boots a server on a snapshot file holding `text`; returns it with
+    /// its (loaded, rejected) snapshot counters.
+    fn boot_from_snapshot(name: &str, text: &str) -> (Server, u64, u64) {
+        let path = std::env::temp_dir()
+            .join(format!("probterm-server-{name}-{}.jsonl", std::process::id()));
+        fs::write(&path, text).unwrap();
+        let s = Server::new(ServerConfig {
+            workers: 1,
+            cache_path: Some(path.to_str().unwrap().to_string()),
+            ..Default::default()
+        });
+        let _ = fs::remove_file(&path);
+        let stats = s.state().stats();
+        (s, stats.cache_persist_loaded, stats.cache_persist_rejected)
+    }
+
     #[test]
     fn checkpoints_with_impossible_mass_are_not_resumed() {
-        // A cached or disk-loaded partial payload with the given checkpoint
-        // tallies. Resuming adds new mass to the checkpoint's, so a
-        // probability above 1 would surface as a bound above 1.
-        let payload = |probability: &str, expected_steps: &str| {
-            Value::Object(vec![
-                ("complete".into(), Value::Bool(false)),
-                (
-                    "checkpoint".into(),
-                    Value::Object(vec![
-                        ("probability".into(), Value::Str(probability.into())),
-                        ("expected_steps".into(), Value::Str(expected_steps.into())),
-                        ("paths".into(), Value::UInt(3)),
-                        ("stuck".into(), Value::UInt(0)),
-                        ("frontier".into(), Value::Array(vec![Value::Str("7:EE".into())])),
-                    ]),
-                ),
-            ])
-        };
-        for (probability, expected_steps) in [("0", "0"), ("7/8", "9/4"), ("1", "12")] {
-            let resumed = checkpoint_from_payload(&payload(probability, expected_steps))
-                .unwrap_or_else(|| panic!("sound checkpoint {probability} rejected"));
-            assert_eq!(resumed.probability, Rational::parse(probability).unwrap());
-            assert_eq!(resumed.frontier.len(), 1);
-        }
-        for (probability, expected_steps) in [("3/2", "1"), ("-1/4", "1"), ("1/2", "-3")] {
-            assert_eq!(
-                checkpoint_from_payload(&payload(probability, expected_steps)),
-                None,
-                "checkpoint with probability {probability}, expected steps {expected_steps} \
-                 must be recomputed, not resumed"
+        // Snapshot lines of partial `lower` entries whose bound equals their
+        // checkpoint's tallies. Resuming adds new mass to the checkpoint's,
+        // so a probability above 1 would surface as a bound above 1: such
+        // lines are rejected at load, never resumed.
+        let line = |term: u128, bound: &str, probability: &str, expected_steps: &str| {
+            let json = format!(
+                r#"{{"term":"{term:032x}","analysis":"lower","config":"depth=30","status":{{"bound":"{bound}","work_ms":5}},"payload":{{"complete":false,"checkpoint":{{"probability":"{probability}","expected_steps":"{expected_steps}","paths":3,"stuck":0,"frontier":["7:EE"]}}}}}}"#
             );
+            format!("{} {json}\n", json.len())
+        };
+        let sound = [("0", "0"), ("7/8", "9/4"), ("1", "12")];
+        let impossible = [("3/2", "1"), ("-1/4", "1"), ("1/2", "-3")];
+        let mut text = format!("{}\n", crate::cache::CACHE_SNAPSHOT_VERSION);
+        for (term, (p, e)) in (0u128..).zip(sound.iter().chain(&impossible)) {
+            text.push_str(&line(term, p, p, e));
+        }
+        // A checkpoint holding a mass other than the bound it claims.
+        text.push_str(&line(6, "1/2", "1/4", "1"));
+        let (s, loaded, rejected) = boot_from_snapshot("impossible-mass", &text);
+        assert_eq!((loaded, rejected), (3, 4));
+        let cache = s.state().cache.lock().unwrap();
+        for (term, (probability, _)) in (0u128..).zip(sound) {
+            let key = CacheKey { term, analysis: "lower", config: "depth=30".into() };
+            let entry = cache.peek(&key).expect("sound checkpoints load");
+            let EntryStatus::Partial { checkpoint: Some(checkpoint), .. } = &entry.status else {
+                panic!("sound checkpoint {probability} lost: {entry:?}");
+            };
+            assert_eq!(checkpoint.probability, Rational::parse(probability).unwrap());
+            assert_eq!(checkpoint.frontier.len(), 1);
+        }
+        for term in 3..7 {
+            let key = CacheKey { term, analysis: "lower", config: "depth=30".into() };
+            assert!(cache.peek(&key).is_none(), "impossible checkpoint {term} was loaded");
+        }
+    }
+
+    #[test]
+    fn snapshots_with_another_stamp_are_rejected_once() {
+        let json = r#"{"term":"00000000000000000000000000000001","analysis":"lower","config":"depth=30","payload":{"complete":true}}"#;
+        let text = format!("probterm-cache-v1\n{} {json}\n{} {json}\n", json.len(), json.len());
+        let (s, loaded, rejected) = boot_from_snapshot("v1", &text);
+        assert_eq!((loaded, rejected), (0, 1));
+        assert!(s.state().cache.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_partial_never_displaces_a_higher_bound() {
+        let s = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
+        // The non-affine geo below cannot finish depth 1600 in 120 ms (see
+        // the resume test), so it truncates with a box-swept partial bound.
+        let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
+        let key = CacheKey {
+            term: parse_term(geo).unwrap().canonical_key(),
+            analysis: "lower",
+            config: "depth=1600".into(),
+        };
+        // Partial A: a bound above anything the box sweep certifies in that
+        // time, from 10 ms of engine work, without a checkpoint.
+        let bound = Rational::one() - Rational::from_ratio(1, 2).pow(64);
+        let partial = Value::Object(vec![
+            ("probability".into(), Value::Str(bound.to_decimal_string(10))),
+            ("complete".into(), Value::Bool(false)),
+            ("engine_ms".into(), Value::UInt(10)),
+        ]);
+        let status = EntryStatus::Partial { bound, work_ms: 10, checkpoint: None };
+        s.state().cache.lock().unwrap().put(key, Entry { payload: partial.clone(), status });
+        // 120 ms is richer than twice A's engine time: the run declines A and
+        // computes partial B, a lower bound from more engine time.
+        let reply = s
+            .handle_line(&format!(
+                r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":120}}"#
+            ))
+            .unwrap();
+        let fresh = result_of(&reply);
+        assert_eq!(fresh.get("complete").and_then(Value::as_bool), Some(false), "{reply}");
+        assert!(fresh.get("engine_ms").and_then(Value::as_u64).unwrap() > 10, "{reply}");
+        // A survives: a budget A serves is still answered with A.
+        let reply = s
+            .handle_line(&format!(
+                r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":20}}"#
+            ))
+            .unwrap();
+        let v: Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v.get("cache").and_then(Value::as_str), Some("hit"), "{reply}");
+        assert_eq!(v.get("result"), Some(&partial), "B displaced the higher bound A");
+    }
+
+    #[test]
+    fn admission_estimates_engine_time_from_engine_runs_only() {
+        let s = Server::new(ServerConfig {
+            workers: 1,
+            inject: Some(InjectSpec::parse("slow=@1:200").unwrap()),
+            ..Default::default()
+        });
+        let state = s.state();
+        // One 200 ms engine run, then 19 cache hits that run no engine.
+        let lower = r#"{"op":"lower","program":"sample","depth":10}"#;
+        for _ in 0..20 {
+            result_of(&s.handle_line(lower).unwrap());
+        }
+        // Behind one queued job, a 10 ms deadline cannot survive the 200 ms
+        // p95 engine time: the hits must not dilute the estimate.
+        state.queued.store(1, Ordering::SeqCst);
+        let out: SharedWriter = Arc::new(Mutex::new(Box::new(io::sink())));
+        let doomed = r#"{"op":"lower","program":"sample + 0","depth":10,"deadline_ms":10}"#;
+        match route_line(state, doomed, &out) {
+            Routed::Reply(reply) => assert_eq!(error_code_of(&reply), "overloaded"),
+            _ => panic!("a deadline doomed by the engine-time estimate was admitted"),
         }
     }
 
@@ -3061,7 +2845,8 @@ mod tests {
         // Deadline-doomed shedding: with a recorded 1 s p95 engine time and
         // one queued job, a 10 ms deadline cannot survive the predicted wait.
         state.queued.store(1, Ordering::SeqCst);
-        let phases = PhaseTimes { engine_us: 1_000_000, total_us: 1_000_000, ..Default::default() };
+        let phases =
+            PhaseTimes { engine_us: Some(1_000_000), total_us: 1_000_000, ..Default::default() };
         state.metrics.record(Op::Lower, &phases, true);
         let doomed = r#"{"op":"lower","program":"sample","depth":10,"deadline_ms":10}"#;
         let doomed = parse_request(doomed).expect("parseable");
@@ -3310,7 +3095,7 @@ mod tests {
             let witness = path.get("witness").unwrap();
             assert_eq!(witness.get("replayed").and_then(Value::as_bool), Some(true));
         }
-        // `engine_ms` (the partial-cache yardstick) rides on the artifact.
+        // `engine_ms` (a partial entry's engine time) rides on the artifact.
         assert!(result.get("engine_ms").and_then(Value::as_u64).is_some());
         // Identical resubmission is a cache hit; a different `top` is a
         // different entry.

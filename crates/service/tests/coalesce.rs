@@ -227,6 +227,69 @@ fn cache_snapshot_survives_a_graceful_restart() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A checkpointed partial `lower` survives a graceful restart: the snapshot
+/// persists its typed status under the v2 stamp, the reborn server loads it
+/// without rejections, and a richer retry resumes from the checkpoint with a
+/// bound no lower than the first.
+#[test]
+fn checkpointed_partial_survives_a_graceful_restart_and_resumes() {
+    let path = std::env::temp_dir().join(format!(
+        "probterm-coalesce-partial-restart-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let cache_path = path.to_str().expect("utf-8 temp path").to_string();
+    let config = ServerConfig {
+        workers: 1,
+        // Above the default depth cap of 400.
+        max_depth: 1600,
+        cache_path: Some(cache_path),
+        ..Default::default()
+    };
+    // geo with a non-affine guard: a single chain of paths, each measured by
+    // the box sweep; depth 1600 takes about 20 s in a release build, so both
+    // runs below truncate.
+    let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
+    let request = |id: u32, deadline_ms: u32| {
+        format!(
+            r#"{{"id":{id},"op":"lower","program":"{geo}","depth":1600,"deadline_ms":{deadline_ms}}}"#
+        )
+    };
+
+    let running = Server::new(config.clone()).spawn_tcp("127.0.0.1:0").expect("bind loopback");
+    let mut client = Client::connect(running.addr);
+    let first = client.request(&request(1, 120));
+    assert!(is_ok(&first), "{first:?}");
+    let first = first.get("result").expect("partial result").clone();
+    assert_eq!(first.get("complete").and_then(Value::as_bool), Some(false));
+    assert!(first.get("checkpoint").is_some(), "{first:?}");
+    client.send(r#"{"id":2,"op":"shutdown"}"#);
+    let _ = client.read_reply();
+    running.join().expect("clean shutdown persists the snapshot");
+
+    let snapshot = std::fs::read_to_string(&path).expect("snapshot written on drain");
+    assert_eq!(snapshot.lines().next(), Some("probterm-cache-v2"));
+    assert!(snapshot.contains(r#""status":{"bound":""#), "typed status persisted: {snapshot}");
+
+    let running = Server::new(config).spawn_tcp("127.0.0.1:0").expect("bind loopback");
+    let mut client = Client::connect(running.addr);
+    let stats = client.request(r#"{"id":3,"op":"stats"}"#);
+    assert_eq!(stat_u64(&stats, "cache_persist_loaded"), 1, "{stats:?}");
+    assert_eq!(stat_u64(&stats, "cache_persist_rejected"), 0, "{stats:?}");
+    let retry = client.request(&request(4, 2000));
+    assert!(is_ok(&retry), "{retry:?}");
+    assert_eq!(cache_tag(&retry), "miss", "a richer budget declines the partial");
+    let resumed = retry.get("result").expect("resumed result");
+    assert_eq!(resumed.get("resumed").and_then(Value::as_bool), Some(true), "{retry:?}");
+    let bound = |result: &Value| result.get("probability_f64").and_then(Value::as_f64).unwrap();
+    assert!(bound(resumed) >= bound(&first), "{resumed:?} regressed below {first:?}");
+
+    client.send(r#"{"id":5,"op":"shutdown"}"#);
+    let _ = client.read_reply();
+    running.join().expect("clean shutdown");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The readiness-polled event loop holds hundreds of concurrent connections
 /// on two workers — no thread per connection — and every one of them gets
 /// its reply.

@@ -542,15 +542,16 @@ fi
 
 # ---------------------------------------------------------------------------
 # Persistence smoke test: a `--cache-path` server computes a result, writes
-# its snapshot on graceful shutdown, and a freshly-booted server on the same
-# path must answer the identical request as a cache hit without an engine run.
+# its snapshot on graceful shutdown under the `probterm-cache-v2` stamp, and a
+# freshly-booted server on the same path must load it without rejections and
+# answer the identical request as a cache hit without an engine run.
 echo "== persistence smoke test =="
 persist_status=0
 if [ -x target/release/probterm ]; then
     cache_file=$(mktemp -u /tmp/probterm-cache.XXXXXX.jsonl)
     persist_request='{"id":1,"op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":35}'
-    persist_round() { # persist_round <port> <required-substring> <label>
-        local reply
+    persist_round() { # persist_round <port> <required-substring> <label> [check-stats]
+        local reply stats
         if ! exec 3<>"/dev/tcp/127.0.0.1/$1"; then
             echo "persist FAILED: cannot connect ($3)"
             persist_status=1
@@ -565,6 +566,17 @@ if [ -x target/release/probterm ]; then
                 persist_status=1
                 ;;
         esac
+        if [ -n "${4:-}" ]; then
+            printf '%s\n' '{"id":3,"op":"stats"}' >&3
+            IFS= read -r -t 30 stats <&3 || stats=""
+            if printf '%s' "$stats" | grep -Eq '"cache_persist_loaded":[1-9]' &&
+                printf '%s' "$stats" | grep -q '"cache_persist_rejected":0[,}]'; then
+                echo "persist ok: snapshot loaded with no rejected lines"
+            else
+                echo "persist FAILED: snapshot load counters: $stats"
+                persist_status=1
+            fi
+        fi
         printf '%s\n' '{"id":2,"op":"shutdown"}' >&3
         IFS= read -r -t 30 _ <&3 || true
         exec 3>&- 3<&-
@@ -593,6 +605,12 @@ if [ -x target/release/probterm ]; then
         echo "persist FAILED: no snapshot at $cache_file"
         persist_status=1
     fi
+    if [ "$(head -n 1 "$cache_file" 2>/dev/null)" = "probterm-cache-v2" ]; then
+        echo "persist ok: snapshot stamped probterm-cache-v2"
+    else
+        echo "persist FAILED: snapshot stamp is '$(head -n 1 "$cache_file" 2>/dev/null)'"
+        persist_status=1
+    fi
     p_port=$((21000 + RANDOM % 20000))
     target/release/probterm serve --addr "127.0.0.1:$p_port" --workers 1 \
         --cache-path "$cache_file" &
@@ -604,7 +622,7 @@ if [ -x target/release/probterm ]; then
         fi
         sleep 0.1
     done
-    persist_round "$p_port" '"cache":"hit"' "reborn server serves the snapshot"
+    persist_round "$p_port" '"cache":"hit"' "reborn server serves the snapshot" check-stats
     if wait "$p_pid"; then
         echo "persist ok: reborn server drained gracefully"
     else
