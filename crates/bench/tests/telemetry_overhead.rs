@@ -12,7 +12,9 @@
 //! into a [`ProgressCell`] the way the analysis service does. Wall-clock
 //! assertions are noisy on a busy single-CPU box, so each measurement takes
 //! the minimum of several repetitions (the same discipline as the
-//! `symbolic_scaling` test), and the two guards never time concurrently.
+//! `symbolic_scaling` test), the two variants of a guard are timed
+//! alternately so that host drift hits both equally, and the two guards
+//! never time concurrently.
 
 use probterm_intervalsem::{
     explore, lower_bound, try_lower_bound, ExplorationConfig, LowerBoundConfig, Poll,
@@ -29,79 +31,83 @@ use std::time::{Duration, Instant};
 /// either bound flaky.
 static TIMING: Mutex<()> = Mutex::new(());
 
+/// Best-of-seven times of `run(false)` and `run(true)`, timed alternately
+/// in one loop so that drift in the host's speed during the measurement
+/// hits both variants equally. One untimed call of each warms allocators
+/// and caches first.
+fn best_of_alternating(run: impl Fn(bool) -> Duration) -> (Duration, Duration) {
+    let _ = (run(false), run(true));
+    let (mut disabled, mut enabled) = (Duration::MAX, Duration::MAX);
+    for _ in 0..7 {
+        disabled = disabled.min(run(false));
+        enabled = enabled.min(run(true));
+    }
+    (disabled, enabled)
+}
+
+/// Time of one exploration of geo(1/2), with or without a profile.
 fn time_exploration(profile: bool) -> Duration {
     let geo = catalog::geometric(Rational::from_ratio(1, 2)).term;
     let config = ExplorationConfig::default()
         .with_max_steps_per_path(400)
         .with_max_paths(20_000)
         .with_profile(profile);
-    let mut best = Duration::MAX;
-    for _ in 0..7 {
-        let start = Instant::now();
-        let exploration = explore(&geo, &config);
-        let elapsed = start.elapsed();
-        assert_eq!(exploration.profile.is_some(), profile);
-        if profile {
-            let p = exploration.profile.as_ref().unwrap();
-            assert!(p.steps > 0, "an enabled profile must tally machine steps");
-            assert!(p.total_events() > 0, "an enabled profile must tally events");
-        }
-        best = best.min(elapsed);
+    let start = Instant::now();
+    let exploration = explore(&geo, &config);
+    let elapsed = start.elapsed();
+    assert_eq!(exploration.profile.is_some(), profile);
+    if profile {
+        let p = exploration.profile.as_ref().unwrap();
+        assert!(p.steps > 0, "an enabled profile must tally machine steps");
+        assert!(p.total_events() > 0, "an enabled profile must tally events");
     }
-    best
+    elapsed
 }
 
-/// Best-of-seven time of `lower_bound` on geo(1/2) at depth 400. With
-/// `publish`, the run goes through `try_lower_bound` with a hook that
-/// publishes into a fresh [`ProgressCell`] as the analysis service's does;
-/// without, through the no-op hook of `lower_bound`.
+/// Time of one `lower_bound` run on geo(1/2) at depth 400. With `publish`,
+/// the run goes through `try_lower_bound` with a hook that publishes into a
+/// fresh [`ProgressCell`] as the analysis service's does; without, through
+/// the no-op hook of `lower_bound`.
 fn time_lower_bound(publish: bool) -> Duration {
     let geo = catalog::geometric(Rational::from_ratio(1, 2)).term;
     let config = LowerBoundConfig::default().with_depth(400).with_max_paths(20_000);
-    let mut best = Duration::MAX;
-    for _ in 0..7 {
-        let cell = ProgressCell::new();
-        let (mut bound, mut paths) = (0.0, 0u64);
-        let mut poll = |poll: Poll<'_>| {
-            match poll {
-                Poll::Explore { work, frontier, depth } => {
-                    cell.publish_exploration(work as u64, frontier as u64, depth as u64);
-                }
-                Poll::Measured(measure) => {
-                    bound += measure.volume.to_f64();
-                    paths += 1;
-                    cell.publish_terminated(paths, bound);
-                }
-                Poll::Sweep => {}
+    let cell = ProgressCell::new();
+    let (mut bound, mut paths) = (0.0, 0u64);
+    let mut poll = |poll: Poll<'_>| {
+        match poll {
+            Poll::Explore { work, frontier, depth } => {
+                cell.publish_exploration(work as u64, frontier as u64, depth as u64);
             }
-            Ok::<(), Infallible>(())
-        };
-        let start = Instant::now();
-        let result = if publish {
-            try_lower_bound(&geo, &config, None, &mut poll).result
-        } else {
-            lower_bound(&geo, &config)
-        };
-        let elapsed = start.elapsed();
-        assert!(result.probability.is_positive());
-        if publish {
-            let snap = cell.snapshot();
-            assert!(snap.steps > 0, "an attached cell must see exploration work");
-            assert!(snap.paths_terminated > 0, "an attached cell must see terminated paths");
-            assert!(snap.bound_scaled > 0, "an attached cell must see a nonzero bound");
+            Poll::Measured(measure) => {
+                bound += measure.volume.to_f64();
+                paths += 1;
+                cell.publish_terminated(paths, bound);
+            }
+            Poll::Sweep => {}
         }
-        best = best.min(elapsed);
+        Ok::<(), Infallible>(())
+    };
+    let start = Instant::now();
+    let result = if publish {
+        try_lower_bound(&geo, &config, None, &mut poll).result
+    } else {
+        lower_bound(&geo, &config)
+    };
+    let elapsed = start.elapsed();
+    assert!(result.probability.is_positive());
+    if publish {
+        let snap = cell.snapshot();
+        assert!(snap.steps > 0, "an attached cell must see exploration work");
+        assert!(snap.paths_terminated > 0, "an attached cell must see terminated paths");
+        assert!(snap.bound_scaled > 0, "an attached cell must see a nonzero bound");
     }
-    best
+    elapsed
 }
 
 #[test]
 fn disabled_profiling_costs_less_than_five_percent() {
     let _serial = TIMING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    // Warm up allocators and caches.
-    let _ = time_exploration(false);
-    let disabled = time_exploration(false);
-    let enabled = time_exploration(true);
+    let (disabled, enabled) = best_of_alternating(time_exploration);
     let budget = enabled.as_secs_f64() * 1.05 + 0.002;
     assert!(
         disabled.as_secs_f64() <= budget,
@@ -117,9 +123,7 @@ fn disabled_profiling_costs_less_than_five_percent() {
 #[test]
 fn disabled_progress_costs_less_than_five_percent() {
     let _serial = TIMING.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let _ = time_lower_bound(false); // warm-up
-    let disabled = time_lower_bound(false);
-    let enabled = time_lower_bound(true);
+    let (disabled, enabled) = best_of_alternating(time_lower_bound);
     let budget = enabled.as_secs_f64() * 1.05 + 0.002;
     assert!(
         disabled.as_secs_f64() <= budget,

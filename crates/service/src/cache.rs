@@ -25,7 +25,7 @@ use crate::protocol::{render_line, Op};
 use probterm_core::intervalsem::{LowerBoundCheckpoint, ReplaySeed};
 use probterm_core::numerics::Rational;
 use serde::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// The content address of one analysis result.
@@ -369,26 +369,30 @@ impl ResultCache {
         (body, count)
     }
 
-    /// Loads a snapshot file's entries; returns `(loaded, rejected)`. A file
-    /// with any other stamp is rejected wholesale, counted once. Each line
-    /// that fails to parse or validate (see [`CACHE_SNAPSHOT_VERSION`]) is
-    /// rejected and counted.
+    /// Loads a snapshot file's entries; returns `(loaded, rejected)`, where
+    /// `loaded` counts the file's entries still resident afterwards (a
+    /// snapshot larger than the capacity evicts its own oldest lines). A
+    /// file with any other stamp is rejected wholesale, counted once. Each
+    /// line that fails to parse or validate (see [`CACHE_SNAPSHOT_VERSION`])
+    /// is rejected and counted.
     pub fn load_snapshot(&mut self, text: &str) -> (u64, u64) {
         let mut lines = text.lines();
         if lines.next() != Some(CACHE_SNAPSHOT_VERSION) {
             return (0, 1);
         }
-        let (mut loaded, mut rejected) = (0, 0);
+        let mut keys = HashSet::new();
+        let mut rejected = 0;
         for line in lines.filter(|l| !l.is_empty()) {
             match parse_snapshot_line(line) {
                 Some((key, entry)) => {
+                    keys.insert(key.clone());
                     self.put(key, entry);
-                    loaded += 1;
                 }
                 None => rejected += 1,
             }
         }
-        (loaded, rejected)
+        let loaded = keys.iter().filter(|key| self.map.contains_key(*key)).count();
+        (loaded as u64, rejected)
     }
 }
 
@@ -716,6 +720,23 @@ mod tests {
             }
             proptest::prop_assert_eq!(reloaded.snapshot().0, text);
         }
+    }
+
+    /// `loaded` counts only the snapshot entries the cache still holds: a
+    /// snapshot larger than the capacity, or a disabled cache, keeps fewer.
+    #[test]
+    fn loaded_counts_resident_entries_only() {
+        let mut source = ResultCache::new(3);
+        for term in 1..=3 {
+            source.put(key(term, ""), payload(term));
+        }
+        let (text, count) = source.snapshot();
+        assert_eq!(count, 3);
+        let mut smaller = ResultCache::new(2);
+        assert_eq!(smaller.load_snapshot(&text), (2, 0));
+        assert_eq!(smaller.len(), 2);
+        let mut disabled = ResultCache::new(0);
+        assert_eq!(disabled.load_snapshot(&text), (0, 0));
     }
 
     #[test]

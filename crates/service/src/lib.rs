@@ -10,9 +10,8 @@
 //!   `std::net` TCP, with structured machine-readable error replies,
 //! * **event-driven transport** ([`server`]): one nonblocking
 //!   readiness-polled loop owns every connection's reads and writes (no
-//!   thread per connection), framing lines into **sharded worker queues**
-//!   routed by the program's canonical hash, with work stealing so one slow
-//!   verification cannot monopolise a shard,
+//!   thread per connection), framing lines into **one FIFO job queue** that
+//!   the worker threads block on,
 //! * **single-flight coalescing** ([`server`]): identical in-flight engine
 //!   requests attach as waiters to the first run instead of enqueueing;
 //!   the finishing worker fans the reply (and streamed progress frames) out

@@ -225,11 +225,9 @@ pub fn render_prometheus(snapshots: &[OpMetricsSnapshot], stats: &StatsSnapshot)
     out.push_str("# HELP probterm_coalesce_fanout_max Largest waiter fan-out any single coalesced run has served.\n");
     out.push_str("# TYPE probterm_coalesce_fanout_max gauge\n");
     let _ = writeln!(out, "probterm_coalesce_fanout_max {}", stats.coalesce_fanout_max);
-    out.push_str("# HELP probterm_shard_queue_depth Jobs queued per worker shard.\n");
-    out.push_str("# TYPE probterm_shard_queue_depth gauge\n");
-    for (shard, depth) in stats.shard_depths.iter().enumerate() {
-        let _ = writeln!(out, "probterm_shard_queue_depth{{shard=\"{shard}\"}} {depth}");
-    }
+    out.push_str("# HELP probterm_queue_depth Jobs waiting in the worker queue.\n");
+    out.push_str("# TYPE probterm_queue_depth gauge\n");
+    let _ = writeln!(out, "probterm_queue_depth {}", stats.queued);
     out.push_str("# HELP probterm_cache_persist_loaded_total Cache entries loaded from the snapshot file at boot.\n");
     out.push_str("# TYPE probterm_cache_persist_loaded_total counter\n");
     let _ = writeln!(out, "probterm_cache_persist_loaded_total {}", stats.cache_persist_loaded);
@@ -364,7 +362,7 @@ mod tests {
             idle_closed: 6,
             coalesced_waiters: 15,
             coalesce_fanout_max: 8,
-            shard_depths: vec![2, 0, 5],
+            queued: 7,
             cache_persist_loaded: 11,
             cache_persist_saved: 12,
             cache_persist_rejected: 13,
@@ -373,8 +371,7 @@ mod tests {
         assert!(text.contains("probterm_uptime_milliseconds 1234\n"));
         assert!(text.contains("probterm_coalesced_waiters_total 15\n"));
         assert!(text.contains("probterm_coalesce_fanout_max 8\n"));
-        assert!(text.contains("probterm_shard_queue_depth{shard=\"0\"} 2\n"));
-        assert!(text.contains("probterm_shard_queue_depth{shard=\"2\"} 5\n"));
+        assert!(text.contains("probterm_queue_depth 7\n"));
         assert!(text.contains("probterm_cache_persist_loaded_total 11\n"));
         assert!(text.contains("probterm_cache_persist_saved_total 12\n"));
         assert!(text.contains("probterm_cache_persist_rejected_total 13\n"));
@@ -431,7 +428,7 @@ mod tests {
             idle_closed: 0,
             coalesced_waiters: 0,
             coalesce_fanout_max: 0,
-            shard_depths: vec![1, 1],
+            queued: 2,
             cache_persist_loaded: 0,
             cache_persist_saved: 0,
             cache_persist_rejected: 0,

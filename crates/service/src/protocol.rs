@@ -356,15 +356,9 @@ pub fn progress_frame(id: &Option<Value>, progress: Value) -> String {
 }
 
 pub(crate) fn render_line(value: Value) -> String {
-    struct Raw(Value);
-    impl serde::Serialize for Raw {
-        fn serialize(&self) -> Value {
-            self.0.clone()
-        }
-    }
     // Compact rendering never contains literal newlines (they are escaped in
     // strings), so one reply is always exactly one line.
-    serde_json::to_string(&Raw(value)).expect("rendering owned values cannot fail")
+    serde_json::value_to_string(&value)
 }
 
 #[cfg(test)]

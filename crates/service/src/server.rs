@@ -1,15 +1,14 @@
-//! The analysis server: shared state, request dispatch, a sharded worker
-//! thread pool, and NDJSON serving over stdio and TCP.
+//! The analysis server: shared state, request dispatch, a worker thread
+//! pool, and NDJSON serving over stdio and TCP.
 //!
 //! Architecture: a single **event-loop thread** owns every TCP connection —
 //! the listener and all accepted sockets are nonblocking, and each poll
 //! round accepts new connections, drains readable sockets into
 //! per-connection buffers, frames complete lines and routes them (std-only:
 //! no `libc` poll, just `set_nonblocking` plus adaptive spin/yield/park
-//! between empty rounds). Routed lines land on **sharded queues** — the
-//! shard is `canonical_key % nshards`, so identical work always goes to the
-//! same shard — and `workers` pool threads pop their home shard first, then
-//! work-steal from the others. Replies are written to the originating
+//! between empty rounds). Routed lines land on **one FIFO job queue**, and
+//! `workers` pool threads block on it until a job arrives or the queue is
+//! closed and empty. Replies are written to the originating
 //! stream under a per-stream mutex by the worker that produced them (writes
 //! on the nonblocking socket retry `WouldBlock` with a bounded patience,
 //! then hard-close). All analyses go through the content-addressed
@@ -119,10 +118,6 @@ pub struct ServerConfig {
     /// Deterministic fault injection for chaos testing (`--inject`); `None`
     /// in production.
     pub inject: Option<InjectSpec>,
-    /// Number of worker-queue shards; `0` (the default) means one shard per
-    /// worker. Engine requests are routed to shard
-    /// `canonical_key % shards`, so identical work lands on one shard.
-    pub shards: usize,
     /// Path of the persistent cache snapshot: loaded at boot, atomically
     /// rewritten on graceful drain. `None` (the default) keeps the cache
     /// in-memory only.
@@ -145,7 +140,6 @@ impl Default for ServerConfig {
             queue_depth: 256,
             idle_timeout_ms: None,
             inject: None,
-            shards: 0,
             cache_path: None,
             max_conns: 1024,
         }
@@ -194,8 +188,8 @@ pub struct StatsSnapshot {
     pub coalesced_waiters: u64,
     /// Largest number of waiters one finishing run fanned its reply out to.
     pub coalesce_fanout_max: u64,
-    /// Current depth of each worker-queue shard, in shard order.
-    pub shard_depths: Vec<u64>,
+    /// Jobs currently waiting in the worker queue.
+    pub queued: u64,
     /// Entries loaded from the cache snapshot at boot.
     pub cache_persist_loaded: u64,
     /// Entries written to the cache snapshot on graceful drain.
@@ -217,7 +211,8 @@ pub struct ServerState {
     /// Set when the server stops accepting work and starts its graceful
     /// drain; engine budget checks observe it and checkpoint early.
     draining: AtomicBool,
-    /// Jobs currently sitting in the shared queue (admission control input).
+    /// Jobs currently waiting in the worker queue (the admission-control
+    /// input and the `queued` stat).
     queued: AtomicU64,
     /// Engine runs started, 1-based; the fault-injection schedule is a pure
     /// function of this counter.
@@ -246,19 +241,14 @@ pub struct ServerState {
     coalesced_waiters: AtomicU64,
     /// High-water mark of waiters any single coalesced run fanned out to.
     coalesce_fanout_max: Gauge,
-    /// Live depth of each worker-queue shard (diagnostic gauges; the
-    /// admission-control input stays the global `queued` counter).
-    shard_depths: Vec<Gauge>,
-    /// Round-robin cursor for sharding non-engine (control/malformed) lines.
-    rr_shard: AtomicU64,
     cache_persist_loaded: AtomicU64,
     cache_persist_saved: AtomicU64,
     cache_persist_rejected: AtomicU64,
     /// Syntactic memo from raw program source to its α-invariant canonical
-    /// key. The transport readers key every engine request (for shard
-    /// routing, coalescing and the inline hit path), and hot traffic
-    /// resubmits byte-identical sources — parsing is a pure function, so
-    /// one parse per distinct spelling suffices. Bounded by
+    /// key. The transport readers key every engine request (for coalescing
+    /// and the inline hit path), and hot traffic resubmits byte-identical
+    /// sources — parsing is a pure function, so one parse per distinct
+    /// spelling suffices. Bounded by
     /// [`KEY_MEMO_CAPACITY`]; cleared wholesale when full.
     key_memo: Mutex<HashMap<String, u128>>,
 }
@@ -303,14 +293,8 @@ impl ServerState {
         trace: Option<TraceSink>,
         slow: Option<TraceSink>,
     ) -> ServerState {
-        let shard_count = if config.shards == 0 {
-            config.workers.max(1)
-        } else {
-            config.shards
-        };
         ServerState {
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            shard_depths: (0..shard_count).map(|_| Gauge::new()).collect(),
             config,
             served: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
@@ -334,7 +318,6 @@ impl ServerState {
             singleflight: Mutex::new(HashMap::new()),
             coalesced_waiters: AtomicU64::new(0),
             coalesce_fanout_max: Gauge::new(),
-            rr_shard: AtomicU64::new(0),
             cache_persist_loaded: AtomicU64::new(0),
             cache_persist_saved: AtomicU64::new(0),
             cache_persist_rejected: AtomicU64::new(0),
@@ -361,18 +344,6 @@ impl ServerState {
             memo.insert(source.to_string(), key);
         }
         Some(key)
-    }
-
-    /// Number of worker-queue shards ([`ServerConfig::shards`], defaulted to
-    /// one per worker).
-    fn shard_count(&self) -> usize {
-        self.shard_depths.len()
-    }
-
-    /// Round-robin shard for lines with no canonical key to route by
-    /// (control ops, malformed lines, oversized programs).
-    fn next_shard(&self) -> usize {
-        (self.rr_shard.fetch_add(1, Ordering::Relaxed) % self.shard_count() as u64) as usize
     }
 
     /// Registers an engine run in the in-flight table; the returned guard
@@ -438,7 +409,7 @@ impl ServerState {
             idle_closed: self.idle_closed.load(Ordering::SeqCst),
             coalesced_waiters: self.coalesced_waiters.load(Ordering::Relaxed),
             coalesce_fanout_max: self.coalesce_fanout_max.get(),
-            shard_depths: self.shard_depths.iter().map(Gauge::get).collect(),
+            queued: self.queued.load(Ordering::Relaxed),
             cache_persist_loaded: self.cache_persist_loaded.load(Ordering::Relaxed),
             cache_persist_saved: self.cache_persist_saved.load(Ordering::Relaxed),
             cache_persist_rejected: self.cache_persist_rejected.load(Ordering::Relaxed),
@@ -918,7 +889,7 @@ fn engine_params(request: &Request) -> EngineParams {
 }
 
 /// The content address of an engine request — the key the cache, the
-/// singleflight table, and shard routing all agree on.
+/// singleflight table and the inline hit path all agree on.
 fn request_cache_key(request: &Request, term_key: u128) -> CacheKey {
     let EngineParams { depth, runs, steps, seed } = engine_params(request);
     CacheKey {
@@ -1584,16 +1555,11 @@ fn stats_payload(state: &ServerState) -> Value {
             stats.oldest_entry_ms.map_or(Value::Null, |ms| Value::UInt(u128::from(ms))),
         ),
         ("workers".into(), Value::UInt(stats.workers as u128)),
-        // Transport counters: single-flight coalescing, per-shard queue
-        // depths and cache-snapshot persistence.
+        // Transport counters: single-flight coalescing, queue depth and
+        // cache-snapshot persistence.
         ("coalesced_waiters".into(), Value::UInt(u128::from(stats.coalesced_waiters))),
         ("coalesce_fanout_max".into(), Value::UInt(u128::from(stats.coalesce_fanout_max))),
-        (
-            "shard_depths".into(),
-            Value::Array(
-                stats.shard_depths.iter().map(|d| Value::UInt(u128::from(*d))).collect(),
-            ),
-        ),
+        ("queued".into(), Value::UInt(u128::from(stats.queued))),
         ("cache_persist_loaded".into(), Value::UInt(u128::from(stats.cache_persist_loaded))),
         ("cache_persist_saved".into(), Value::UInt(u128::from(stats.cache_persist_saved))),
         (
@@ -1722,9 +1688,6 @@ struct Job {
     /// When the reader enqueued the job; the worker's pop time minus this is
     /// the request's queue-wait phase.
     enqueued: Instant,
-    /// The shard queue the job went onto — engine ops hash their canonical
-    /// key, everything else round-robins.
-    shard: usize,
     /// The singleflight lease when this job leads a coalesced engine run.
     flight: Option<FlightLease>,
 }
@@ -1732,7 +1695,7 @@ struct Job {
 /// Admission control, run by transport readers on parsed engine-op requests
 /// *before* enqueueing. Returns the shed reply to write immediately
 /// (bypassing the queue), or `None` to admit. A request is shed when the
-/// queues already hold [`ServerConfig::queue_depth`] jobs, or when its
+/// queue already holds [`ServerConfig::queue_depth`] jobs, or when its
 /// `deadline_ms` would expire before the predicted queue wait (queued jobs ×
 /// the op's p95 engine time ÷ workers, from the live latency histograms).
 /// Only engine ops are ever submitted here: control ops must stay responsive
@@ -1750,7 +1713,7 @@ fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
     // orders against this load.
     let queued = state.queued.load(Ordering::Relaxed);
     if queued == 0 {
-        // Empty queues admit unconditionally — skip the p95 histogram
+        // An empty queue admits unconditionally — skip the p95 histogram
         // snapshot allocation on the fast path.
         return None;
     }
@@ -1838,25 +1801,24 @@ fn serve_inline_hit(state: &ServerState, request: &Request, key: &CacheKey) -> O
 enum Routed {
     /// Write this reply immediately (admission shed); nothing is enqueued.
     Reply(String),
-    /// Enqueue the line on `shard`, carrying a singleflight lease when the
-    /// request leads a new coalesced engine run.
-    Enqueue { shard: usize, flight: Option<FlightLease> },
+    /// Enqueue the line, carrying a singleflight lease when the request
+    /// leads a new coalesced engine run.
+    Enqueue { flight: Option<FlightLease> },
     /// The request joined an identical in-flight run as a waiter; the
     /// finishing leader will reply. Nothing to enqueue.
     Coalesced,
 }
 
-/// Routes one raw request line: coalesce onto an identical in-flight engine
-/// run, shed at admission, or enqueue on a shard. Engine ops shard by
-/// canonical key so identical work lands behind its leader; control ops and
-/// anything that fails early validation (those get their structured error
-/// from a worker) round-robin across shards.
+/// Routes one raw request line: answer it inline, coalesce onto an
+/// identical in-flight engine run, shed at admission, or enqueue it. Lines
+/// that fail early validation are enqueued without a lease; a worker renders
+/// their structured error.
 ///
 /// The coalesce check runs *before* admission control: a joiner consumes no
 /// queue slot and no engine run, so an identical request must never be shed
 /// — under a flood of one hot term, admission sees exactly one queued job.
 fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
-    let fallback = || Routed::Enqueue { shard: state.next_shard(), flight: None };
+    let fallback = || Routed::Enqueue { flight: None };
     let Ok(request) = parse_request(line) else { return fallback() };
     if let Some(reply) = serve_inline_control(state, &request) {
         return Routed::Reply(reply);
@@ -1875,7 +1837,6 @@ fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
     if let Some(reply) = serve_inline_hit(state, &request, &key) {
         return Routed::Reply(reply);
     }
-    let shard = (key.term % state.shard_count() as u128) as usize;
     let join = |group: &mut FlightGroup| {
         group
             .limit_ms
@@ -1911,7 +1872,7 @@ fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
         }
         std::collections::hash_map::Entry::Vacant(entry) => {
             entry.insert(FlightGroup { limit_ms: Arc::clone(&limit_ms), waiters: Vec::new() });
-            Routed::Enqueue { shard, flight: Some(FlightLease { key, limit_ms }) }
+            Routed::Enqueue { flight: Some(FlightLease { key, limit_ms }) }
         }
     }
 }
@@ -1933,33 +1894,30 @@ fn idle_close(state: &ServerState, out: &SharedWriter) {
 
 /// The step both serve loops take for each framed line: route it
 /// ([`route_line`]), then write the inline reply, leave a coalesced request
-/// to its leader, or enqueue the line on its shard queue — keeping the
-/// queued-jobs gauge (the admission-control input) and the shard-depth gauge
-/// in sync. Returns `false` when the pool is gone.
+/// to its leader, or enqueue the line — keeping the queued-jobs gauge (the
+/// admission-control input) in sync. Returns `false` when the pool is gone.
 fn route_or_enqueue(
     state: &ServerState,
-    senders: &[mpsc::Sender<Job>],
+    jobs: &mpsc::Sender<Job>,
     line: String,
     out: &SharedWriter,
 ) -> bool {
-    let (shard, flight) = match route_line(state, &line, out) {
+    let flight = match route_line(state, &line, out) {
         Routed::Reply(reply) => {
             write_reply_line(out, reply);
             return true;
         }
         Routed::Coalesced => return true,
-        Routed::Enqueue { shard, flight } => (shard, flight),
+        Routed::Enqueue { flight } => flight,
     };
-    // Relaxed: both gauges feed heuristics (admission, stats), not an
+    // Relaxed: the gauge feeds heuristics (admission, stats), not an
     // ordering-sensitive protocol — see `admission_reply`.
     state.queued.fetch_add(1, Ordering::Relaxed);
-    state.shard_depths[shard].add(1);
-    let job = Job { line, out: Arc::clone(out), enqueued: Instant::now(), shard, flight };
-    if let Err(mpsc::SendError(job)) = senders[shard].send(job) {
+    let job = Job { line, out: Arc::clone(out), enqueued: Instant::now(), flight };
+    if let Err(mpsc::SendError(job)) = jobs.send(job) {
         state.queued.fetch_sub(1, Ordering::Relaxed);
-        state.shard_depths[shard].sub(1);
-        // The pool is gone (drain): retire the would-be leader's
-        // singleflight entry so it cannot absorb further joiners.
+        // The pool is gone: retire the would-be leader's singleflight entry
+        // so it cannot absorb further joiners.
         if let Some(flight) = &job.flight {
             if let Ok(mut flights) = state.singleflight.lock() {
                 flights.remove(&flight.key);
@@ -1971,148 +1929,77 @@ fn route_or_enqueue(
 }
 
 /// The graceful drain both serve loops end with once they stop taking
-/// input: the workers finish or checkpoint what is queued and in flight
-/// (the engines' budget checks observe the draining flag), the pool exits,
-/// and the cache snapshot is written for the next boot.
+/// input: dropping the queue's only sender lets the workers finish (or
+/// checkpoint, as the engines' budget checks observe the draining flag)
+/// everything queued and in flight, then exit; the cache snapshot is then
+/// written for the next boot.
 fn drain(
     state: &ServerState,
-    senders: Vec<mpsc::Sender<Job>>,
+    jobs: mpsc::Sender<Job>,
     workers: Vec<thread::JoinHandle<()>>,
 ) -> io::Result<()> {
     state.draining.store(true, Ordering::SeqCst);
-    drop(senders);
+    drop(jobs);
     for worker in workers {
         let _ = worker.join();
     }
     state.persist_cache_snapshot().map(drop)
 }
 
-fn spawn_workers(
-    state: &Arc<ServerState>,
-    count: usize,
-) -> (Vec<mpsc::Sender<Job>>, Vec<thread::JoinHandle<()>>) {
-    let shards = state.shard_count();
-    let mut senders = Vec::with_capacity(shards);
-    let mut shard_queues = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (sender, receiver) = mpsc::channel::<Job>();
-        senders.push(sender);
-        shard_queues.push(Arc::new(Mutex::new(receiver)));
-    }
-    let shard_queues = Arc::new(shard_queues);
-    let handles = (0..count.max(1))
+/// Starts [`ServerConfig::workers`] threads on one FIFO job queue. Each
+/// worker blocks in `recv` under the receiver's lock, which it holds only
+/// while waiting for a job, never while running one. `recv` fails only once
+/// [`drain`] has dropped the sender *and* the queue is empty, so every queued
+/// job is served before the workers exit.
+fn spawn_workers(state: &Arc<ServerState>) -> (mpsc::Sender<Job>, Vec<thread::JoinHandle<()>>) {
+    let (jobs, queue) = mpsc::channel::<Job>();
+    let queue = Arc::new(Mutex::new(queue));
+    let handles = (0..state.config.workers.max(1))
         .map(|i| {
             let state = Arc::clone(state);
-            let queues = Arc::clone(&shard_queues);
+            let queue = Arc::clone(&queue);
             thread::Builder::new()
                 .name(format!("probterm-worker-{i}"))
-                .spawn(move || {
-                    let shards = queues.len();
-                    let home = i % shards;
-                    // Set once the home shard's channel disconnects (senders
-                    // are dropped only after `draining` is visible): one
-                    // final sweep over the sibling shards, then exit.
-                    let mut home_closed = false;
-                    loop {
-                        // Pop the home shard first, then steal from siblings
-                        // in order. Identical work hashes onto one shard, so
-                        // home affinity keeps a hot term's retries behind
-                        // their leader while idle workers still drain busy
-                        // shards. The scan uses `try_lock`: a contended
-                        // receiver is already being popped (or parked on) by
-                        // its home worker, and blocking behind a sibling's
-                        // park would convoy the whole pool.
-                        let mut stolen = None;
-                        for k in 0..shards {
-                            let shard = (home + k) % shards;
-                            if let Ok(guard) = queues[shard].try_lock() {
-                                if let Ok(job) = guard.try_recv() {
-                                    stolen = Some(job);
-                                    break;
-                                }
-                            }
-                        }
-                        let job = match stolen {
-                            Some(job) => job,
-                            None if home_closed => break,
-                            None => {
-                                // Park on the home shard immediately — no
-                                // spin phase: a home-shard job wakes the
-                                // channel's condvar directly (a handoff that
-                                // stays cheap even on one core, where
-                                // spinning would only steal cycles from the
-                                // threads producing the work), while the
-                                // short timeout bounds steal latency for
-                                // jobs on sibling shards and lets the
-                                // graceful drain end the loop even while
-                                // readers hold sender clones. The lock is
-                                // held only for the pop, never the job.
-                                let polled = match queues[home].lock() {
-                                    Ok(guard) => {
-                                        guard.recv_timeout(Duration::from_millis(1))
-                                    }
-                                    Err(_) => break,
-                                };
-                                match polled {
-                                    Ok(job) => job,
-                                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                                        if state.draining.load(Ordering::SeqCst) {
-                                            // Draining and every shard stayed
-                                            // empty for a full poll: all
-                                            // queued requests are finished
-                                            // (or checkpointed) — exit.
-                                            break;
-                                        }
-                                        continue;
-                                    }
-                                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                        home_closed = true;
-                                        continue;
-                                    }
-                                }
-                            }
-                        };
-                        state.queued.fetch_sub(1, Ordering::Relaxed);
-                        state.shard_depths[job.shard].sub(1);
-                        let queue_us = micros(job.enqueued.elapsed());
-                        // Streamed progress frames go straight to the
-                        // originating connection, each under its own lock
-                        // acquisition so replies to interleaved requests on
-                        // the same connection are never blocked for a whole
-                        // run.
-                        let emit_frame = |frame: &str| write_reply_line(&job.out, frame.into());
-                        let outcome = process_line(
-                            &state,
-                            &job.line,
-                            queue_us,
-                            &emit_frame,
-                            job.flight.as_ref(),
-                        );
-                        match outcome.reply {
-                            Some(reply) if outcome.drop_reply => {
-                                // Injected fault: half the bytes, then a hard
-                                // close mid-line.
-                                if let Ok(mut out) = job.out.lock() {
-                                    let _ = out.write_all(&reply.as_bytes()[..reply.len() / 2]);
-                                    let _ = out.flush();
-                                    out.abort();
-                                }
-                            }
-                            Some(reply) => write_reply_line(&job.out, reply),
-                            None => {}
-                        }
-                        // The flag is set only after the reply is flushed,
-                        // so a `shutdown` reply is on the wire before the
-                        // accept loop can exit.
-                        if outcome.shutdown {
-                            state.shutdown.store(true, Ordering::SeqCst);
-                        }
-                    }
+                .spawn(move || loop {
+                    let next = match queue.lock() {
+                        Ok(queue) => queue.recv(),
+                        Err(_) => break,
+                    };
+                    let Ok(job) = next else { break };
+                    run_job(&state, job);
                 })
                 .expect("spawn worker thread")
         })
         .collect();
-    (senders, handles)
+    (jobs, handles)
+}
+
+/// Runs one dequeued job on a worker and writes its reply.
+fn run_job(state: &ServerState, job: Job) {
+    state.queued.fetch_sub(1, Ordering::Relaxed);
+    let queue_us = micros(job.enqueued.elapsed());
+    // Streamed progress frames go straight to the originating connection,
+    // each under its own lock acquisition so replies to interleaved requests
+    // on the same connection are never blocked for a whole run.
+    let emit_frame = |frame: &str| write_reply_line(&job.out, frame.into());
+    let outcome = process_line(state, &job.line, queue_us, &emit_frame, job.flight.as_ref());
+    match outcome.reply {
+        Some(reply) if outcome.drop_reply => {
+            // Injected fault: half the bytes, then a hard close mid-line.
+            if let Ok(mut out) = job.out.lock() {
+                let _ = out.write_all(&reply.as_bytes()[..reply.len() / 2]);
+                let _ = out.flush();
+                out.abort();
+            }
+        }
+        Some(reply) => write_reply_line(&job.out, reply),
+        None => {}
+    }
+    // The flag is set only after the reply is flushed, so a `shutdown` reply
+    // is on the wire before the accept loop can exit.
+    if outcome.shutdown {
+        state.shutdown.store(true, Ordering::SeqCst);
+    }
 }
 
 /// The analysis server. Cheap to clone; clones share state (and cache).
@@ -2207,7 +2094,7 @@ impl Server {
     ///
     /// Propagates stdin read errors.
     pub fn serve_stdio(&self) -> io::Result<()> {
-        let (senders, workers) = spawn_workers(&self.state, self.state.config.workers);
+        let (jobs, workers) = spawn_workers(&self.state);
         let out: SharedWriter = Arc::new(Mutex::new(Box::new(io::stdout())));
         // Read stdin on a helper thread: a blocked `read_line` cannot be
         // interrupted portably, so the serving loop polls the shutdown flag
@@ -2230,7 +2117,7 @@ impl Server {
         while !self.state.shutdown_requested() {
             match line_receiver.recv_timeout(Duration::from_millis(25)) {
                 Ok(Ok(line)) => {
-                    if !route_or_enqueue(&self.state, &senders, line, &out) {
+                    if !route_or_enqueue(&self.state, &jobs, line, &out) {
                         break;
                     }
                 }
@@ -2242,7 +2129,7 @@ impl Server {
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
-        drain(&self.state, senders, workers)?;
+        drain(&self.state, jobs, workers)?;
         read_error.map_or(Ok(()), Err)
     }
 
@@ -2254,8 +2141,8 @@ impl Server {
     /// Each poll round accepts pending connections (refusing over
     /// [`ServerConfig::max_conns`] with a structured `overloaded` line),
     /// drains every readable socket into its per-connection buffer, frames
-    /// complete lines and routes them (coalesce / shed / enqueue on a
-    /// shard), and reaps idle connections. Replies go out on the same
+    /// complete lines and routes them (coalesce / shed / enqueue), and
+    /// reaps idle connections. Replies go out on the same
     /// connection the request came in on, possibly out of request order.
     /// The loop spins with `yield_now` while traffic flows, polls at the
     /// platform's nanosleep floor through short gaps, and backs off to 1 ms
@@ -2282,7 +2169,7 @@ impl Server {
             closed: bool,
         }
         listener.set_nonblocking(true)?;
-        let (senders, workers) = spawn_workers(&self.state, self.state.config.workers);
+        let (jobs, workers) = spawn_workers(&self.state);
         let max_conns = self.state.config.max_conns.max(1);
         let idle_limit = self.state.config.idle_timeout_ms.map(Duration::from_millis);
         let mut conns: Vec<Conn> = Vec::new();
@@ -2360,7 +2247,7 @@ impl Server {
                     let line = String::from_utf8_lossy(&raw[..pos])
                         .trim_end_matches('\r')
                         .to_string();
-                    if !route_or_enqueue(&self.state, &senders, line, &conn.out) {
+                    if !route_or_enqueue(&self.state, &jobs, line, &conn.out) {
                         conn.closed = true;
                     }
                 }
@@ -2406,7 +2293,7 @@ impl Server {
                 }
             }
         }
-        drain(&self.state, senders, workers)?;
+        drain(&self.state, jobs, workers)?;
         fatal.map_or(Ok(()), Err)
     }
 

@@ -1,7 +1,8 @@
 //! Offline stand-in for `serde_json`: renders the shim [`serde::Value`] tree
 //! produced by the shim `Serialize` trait as JSON text, compact
-//! ([`to_string`]) or indented ([`to_string_pretty`]), and parses JSON text
-//! back into a [`serde::Value`] tree ([`from_str`]).
+//! ([`to_string`]) or indented ([`to_string_pretty`]), renders a borrowed
+//! [`serde::Value`] tree without copying it ([`value_to_string`]), and
+//! parses JSON text back into a [`serde::Value`] tree ([`from_str`]).
 
 use serde::{Serialize, Value};
 use std::fmt;
@@ -28,9 +29,16 @@ impl std::error::Error for Error {}
 
 /// Serialises `value` to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(value_to_string(&value.serialize()))
+}
+
+/// Renders a [`Value`] tree as compact JSON by reference. Unlike
+/// [`to_string`], whose `Serialize` step builds an owned copy of the tree,
+/// this reads the tree in place.
+pub fn value_to_string(value: &Value) -> String {
     let mut out = String::new();
-    render(&value.serialize(), None, 0, &mut out);
-    Ok(out)
+    render(value, None, 0, &mut out);
+    out
 }
 
 /// Serialises `value` to an indented (2 spaces) JSON string.

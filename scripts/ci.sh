@@ -11,25 +11,40 @@ cd "$(dirname "$0")/.."
 
 status=0
 
+# Wall-clock per section and in total, from bash's SECONDS counter: each
+# `section` call closes the running section's timer and opens the next.
+SECONDS=0
+section_name=""
+section() { # section <name>
+    if [ -n "$section_name" ]; then
+        echo "-- $section_name: $((SECONDS - section_start)) s"
+    fi
+    section_name=$1
+    section_start=$SECONDS
+    if [ -n "$1" ]; then
+        echo "== $1 =="
+    fi
+}
+
 # --workspace is load-bearing: the root manifest is a workspace *and* a
 # package, so a bare `cargo test` silently tests only the root package.
-echo "== cargo build --release --workspace =="
+section "cargo build --release --workspace"
 cargo build --release --workspace --offline || status=$?
 
-echo "== cargo test -q --workspace --no-fail-fast =="
+section "cargo test -q --workspace --no-fail-fast"
 cargo test -q --workspace --offline --no-fail-fast || status=$?
 
 # `Rational`'s small-value fast path relies on detecting integer overflow.
 # Overflow panics in debug builds but wraps in release builds, which is what
 # the benchmark and users run, so the numerics suite runs in release too.
-echo "== numerics suite in release =="
+section "numerics suite in release"
 cargo test --release -q --offline -p probterm-numerics || status=$?
 
 # perfbench (the repo benchmark, `perfbench/run.sh`) is its own workspace, so
 # `--workspace` never compiles it. Building and testing it here makes an
 # engine API change that breaks the benchmark's calls fail tier-1, not the
 # benchmark run.
-echo "== perfbench build and tests =="
+section "perfbench build and tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml || status=$?
 
 # ---------------------------------------------------------------------------
@@ -37,14 +52,14 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml || status=$?
 # reference steppers, for the concrete evaluator and for symbolic
 # exploration. Both run inside the workspace pass above; re-running them
 # explicitly keeps a red diff from hiding among hundreds of other tests.
-echo "== differential suites (machine vs substitution reference) =="
+section "differential suites (machine vs substitution reference)"
 cargo test -q --offline -p probterm-spcf --test machine_differential || status=$?
 cargo test -q --offline -p probterm-intervalsem --test symbolic_differential || status=$?
 
 # ---------------------------------------------------------------------------
 # CLI smoke test: `probterm lower` (complete and deadline-cut partial) and
 # `probterm verify` against known answers, each bounded by a timeout.
-echo "== CLI smoke test =="
+section "CLI smoke test"
 cli_status=0
 if [ -x target/release/probterm ]; then
     lower_out=$(timeout 60 target/release/probterm lower \
@@ -88,7 +103,7 @@ fi
 # explores completely and on a deadline-truncated one; both JSON artifacts
 # must satisfy `probterm explain-check` (schema, exact mass accounting,
 # witness replay), and the DOT rendering must be a well-formed digraph.
-echo "== explain smoke test =="
+section "explain smoke test"
 explain_status=0
 if [ -x target/release/probterm ]; then
     complete_json=$(mktemp /tmp/probterm-explain.XXXXXX.json)
@@ -159,7 +174,7 @@ fi
 # line — including the `metrics` Prometheus exposition and the per-op `stats`
 # percentiles — assert a graceful shutdown with exit code 0, and validate the
 # JSONL trace with `probterm trace-check`.
-echo "== service smoke test =="
+section "service smoke test"
 smoke_status=0
 if [ -x target/release/probterm ]; then
     port=$((21000 + RANDOM % 20000))
@@ -248,7 +263,7 @@ fi
 # structured `internal` error, and a queue-saturation shed with
 # `overloaded` + `retry_after_ms`. The `stats` robustness counters and the
 # JSONL trace must account for all of it, and shutdown must stay graceful.
-echo "== chaos smoke test =="
+section "chaos smoke test"
 chaos_status=0
 if [ -x target/release/probterm ]; then
     chaos_port=$((21000 + RANDOM % 20000))
@@ -390,7 +405,7 @@ fi
 # loopback server's `stats` + `inspect` replies, and the bench-history
 # regression sentinel runs over the committed BENCH_history.jsonl as a soft
 # gate (it warns on regressions; only --strict turns that into a failure).
-echo "== observability smoke test =="
+section "observability smoke test"
 obs_status=0
 if [ -x target/release/probterm ]; then
     obs_port=$((21000 + RANDOM % 20000))
@@ -454,7 +469,7 @@ fi
 # 1000 ms, three identical requests sent mid-flight must attach to it instead
 # of enqueueing — exactly one engine run (`"misses":1`), three accounted
 # waiters — and every reply must carry the leader's result.
-echo "== coalescing smoke test =="
+section "coalescing smoke test"
 coalesce_status=0
 if [ -x target/release/probterm ]; then
     co_port=$((21000 + RANDOM % 20000))
@@ -545,7 +560,7 @@ fi
 # its snapshot on graceful shutdown under the `probterm-cache-v2` stamp, and a
 # freshly-booted server on the same path must load it without rejections and
 # answer the identical request as a cache hit without an engine run.
-echo "== persistence smoke test =="
+section "persistence smoke test"
 persist_status=0
 if [ -x target/release/probterm ]; then
     cache_file=$(mktemp -u /tmp/probterm-cache.XXXXXX.jsonl)
@@ -640,6 +655,9 @@ if [ "$persist_status" -ne 0 ]; then
 else
     echo "persistence smoke test: OK"
 fi
+
+section ""
+echo "CI wall-clock: $SECONDS s"
 
 if [ "$status" -ne 0 ]; then
     echo "CI: FAILED (status $status)"

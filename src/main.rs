@@ -8,7 +8,7 @@
 //! probterm simulate  (<file> | -e <program>)   [--runs N] [--steps N] [--seed N] [--cbv] [--profile]
 //! probterm serve     [--addr HOST:PORT] [--workers N] [--cache N] [--trace PATH|-] [--slow-ms N]
 //!                    [--queue-depth N] [--idle-timeout-ms N] [--inject SPEC]
-//!                    [--shards N] [--cache-path PATH] [--max-conns N]
+//!                    [--cache-path PATH] [--max-conns N]
 //! probterm top       --addr HOST:PORT             [--once] [--interval-ms N]
 //! probterm bench-report [<history.jsonl>]         [--threshold PCT] [--format text|json] [--strict]
 //! probterm trace-check <file>
@@ -58,7 +58,6 @@ struct Options {
     queue_depth: usize,
     idle_timeout_ms: Option<u64>,
     inject: Option<String>,
-    shards: usize,
     cache_path: Option<String>,
     max_conns: usize,
     ast: bool,
@@ -90,7 +89,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         queue_depth: 256,
         idle_timeout_ms: None,
         inject: None,
-        shards: 0,
         cache_path: None,
         max_conns: 1024,
         ast: false,
@@ -230,12 +228,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                         .clone(),
                 );
             }
-            "--shards" => {
-                options.shards = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| "--shards requires a number".to_string())?;
-            }
             "--cache-path" => {
                 options.cache_path = Some(
                     iter.next()
@@ -299,8 +291,6 @@ fn usage() -> &'static str {
               --inject S  deterministic fault injection for chaos testing,\n\
                           e.g. 'seed=7;panic=@4;slow=0.1:50;drop=@9'\n\
                           (RULE is a probability or @N = every Nth engine run)\n\
-              --shards N  worker-queue shards; identical requests hash to one\n\
-                          shard (default: one shard per worker)\n\
               --cache-path P  persist the result cache to P at graceful drain\n\
                           and preload it at boot (version-stamped snapshot)\n\
               --max-conns N  refuse TCP connections beyond N concurrently\n\
@@ -1022,7 +1012,6 @@ fn main() -> ExitCode {
                     queue_depth: options.queue_depth,
                     idle_timeout_ms: options.idle_timeout_ms,
                     inject,
-                    shards: options.shards,
                     cache_path: options.cache_path.clone(),
                     max_conns: options.max_conns,
                     ..Default::default()

@@ -1,0 +1,70 @@
+//! `probterm serve` without `--addr` speaks NDJSON over stdin/stdout: every
+//! line piped in gets exactly one reply, and closing stdin drains the worker
+//! pool and exits 0.
+
+use serde::Value;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::process::{Command, Stdio};
+
+const LOWER: &str = r#"{"id":"lower","op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":10}"#;
+const STATS: &str = r#"{"id":"stats","op":"stats"}"#;
+
+#[test]
+fn stdio_serves_every_line_and_exits_cleanly_at_eof() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_probterm"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn probterm serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    writeln!(stdin, "{LOWER}\nthis is not json\n{STATS}").expect("write requests");
+    // Read the three replies before closing stdin: EOF starts the graceful
+    // drain, which would cut a run still waiting in the queue short.
+    let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut stdout = String::new();
+    for _ in 0..3 {
+        reader.read_line(&mut stdout).expect("read a reply");
+    }
+    drop(stdin);
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("read to EOF");
+    assert_eq!(rest, "", "no reply beyond one per request line");
+    let status = child.wait().expect("wait for probterm serve");
+    assert!(status.success(), "serve exited with {status:?}");
+    let replies: Vec<Value> = stdout
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("each reply is one JSON line"))
+        .collect();
+    assert_eq!(replies.len(), 3, "one reply per request line:\n{stdout}");
+    // Replies may come out of order (the stats op is answered inline, the
+    // others on the pool), so match them by id.
+    let by_id = |id: &str| {
+        replies
+            .iter()
+            .find(|r| r.get("id").and_then(Value::as_str) == Some(id))
+            .unwrap_or_else(|| panic!("no reply with id {id}:\n{stdout}"))
+    };
+    let lower = by_id("lower");
+    assert_eq!(lower.get("ok").and_then(Value::as_bool), Some(true), "{lower:?}");
+    let bound = lower
+        .get("result")
+        .and_then(|r| r.get("probability_f64"))
+        .and_then(Value::as_f64)
+        .expect("lower reports a bound");
+    assert!(bound > 0.0 && bound <= 1.0, "bound {bound}");
+    let stats = by_id("stats");
+    assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true), "{stats:?}");
+    assert!(stats.get("result").and_then(|r| r.get("served")).is_some(), "{stats:?}");
+    let parse_errors: Vec<&Value> = replies
+        .iter()
+        .filter(|r| r.get("id") == Some(&Value::Null))
+        .collect();
+    assert_eq!(parse_errors.len(), 1, "{stdout}");
+    let code = parse_errors[0]
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Value::as_str);
+    assert_eq!(code, Some("parse_error"), "{stdout}");
+}
