@@ -41,6 +41,32 @@
 //! O(sample variables × constraints). The oracle runs once per independent
 //! group of variables, on that group's constraints alone.
 //!
+//! # Cost of a box sweep
+//!
+//! A non-affine path is measured by [`SymbolicPath::try_box_lower_bound`],
+//! which bisects `[0,1]ⁿ` breadth-first and counts the boxes on which every
+//! constraint certainly holds. Each queued box carries the indices of the
+//! constraints still undecided on its parent, and a box re-checks only those
+//! of them that mention the variable its parent's bisection split. This
+//! reaches the same verdict as checking every constraint, for two reasons:
+//!
+//! * interval evaluation is inclusion-isotone — the half's enclosure lies
+//!   inside the parent's — so a constraint certainly true on the parent is
+//!   certainly true on the half (and it holds on the whole parent, so
+//!   counting the half is sound in any case);
+//! * a constraint that does not mention the split variable sees the same
+//!   intervals on the half as on the parent, so its enclosure, and with it
+//!   its verdict, is the parent's.
+//!
+//! So a decided constraint is never evaluated again, and an undecided one
+//! only when its own variables shrink; a variable → constraints index is
+//! built once per path. The sweep computes no widths either: from `[0,1]ⁿ`,
+//! bisecting the widest dimension with ties going to the last one splits
+//! dimension `n−1−(t mod n)` at depth `t`, so every box at depth `t` has
+//! volume `2⁻ᵗ`. The sum is kept as a count of accepted boxes per depth and
+//! becomes a [`Rational`] once, at the end, equal to the sum of the
+//! accepted boxes' exact volumes.
+//!
 //! # Interruption
 //!
 //! [`try_explore_seeded`] threads one poll hook through the exploration loop,
@@ -95,11 +121,25 @@ impl SymValue {
         match self {
             SymValue::Const(r) => Some(Interval::point(r.clone())),
             SymValue::Var(i) => boxes.intervals().get(*i).cloned(),
-            SymValue::Prim(p, args) => {
-                let values: Option<Vec<Interval>> =
-                    args.iter().map(|a| a.eval_interval(boxes)).collect();
-                crate::iterm::prim_interval(*p, &values?)
-            }
+            // Every primitive is unary or binary: its arguments' enclosures
+            // go on the stack, so a box check allocates nothing per node.
+            SymValue::Prim(p, args) => match args.as_slice() {
+                [a] => crate::iterm::prim_interval(*p, &[a.eval_interval(boxes)?]),
+                [a, b] => crate::iterm::prim_interval(
+                    *p,
+                    &[a.eval_interval(boxes)?, b.eval_interval(boxes)?],
+                ),
+                _ => panic!("arity mismatch for {p:?}"),
+            },
+        }
+    }
+
+    /// Calls `visit` on every sample-variable occurrence in the value.
+    fn visit_vars(&self, visit: &mut dyn FnMut(usize)) {
+        match self {
+            SymValue::Const(_) => {}
+            SymValue::Var(i) => visit(*i),
+            SymValue::Prim(_, args) => args.iter().for_each(|a| a.visit_vars(visit)),
         }
     }
 
@@ -492,48 +532,116 @@ impl SymbolicPath {
         max_boxes: usize,
         check: &mut dyn FnMut(Poll<'_>) -> Result<(), E>,
     ) -> (Rational, Option<E>) {
-        let mut total = Rational::zero();
-        let mut queue: VecDeque<IntervalBox> = VecDeque::new();
-        queue.push_back(IntervalBox::unit(self.sample_count));
+        self.try_sweep_boxes(max_boxes, check, &mut |_| {})
+    }
+
+    /// The box sweep behind [`SymbolicPath::try_box_lower_bound`], which also
+    /// hands every box it proves inside the path region to `inside`, in the
+    /// order the sweep finds them.
+    ///
+    /// Boxes are taken first-in first-out from `[0,1]ⁿ`; the `max_boxes`-th
+    /// box is the last one examined, and `check(Poll::Sweep)` runs before
+    /// every 64th. A box on which some constraint certainly fails is dropped,
+    /// one on which every constraint certainly holds is counted, and any
+    /// other is bisected (see the module docs for what each box re-checks).
+    pub fn try_sweep_boxes<E>(
+        &self,
+        max_boxes: usize,
+        check: &mut dyn FnMut(Poll<'_>) -> Result<(), E>,
+        inside: &mut dyn FnMut(&IntervalBox),
+    ) -> (Rational, Option<E>) {
+        /// A queued box, the number of bisections that made it, and the
+        /// constraints (ascending indices) undecided on its parent.
+        struct Pending {
+            cube: IntervalBox,
+            depth: usize,
+            undecided: Rc<[usize]>,
+        }
+        let n = self.sample_count;
+        // The dimension bisected at depth `t`: `bisect_widest` on a box of
+        // `[0,1]ⁿ` bisected `t` times, since ties go to the last dimension.
+        let split_dim = |depth: usize| n - 1 - depth % n;
+        let all: Vec<usize> = (0..self.constraints.len()).collect();
+        // The constraints mentioning each sample variable, ascending.
+        let mut touching: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (k, c) in self.constraints.iter().enumerate() {
+            c.value.visit_vars(&mut |v| {
+                if v < n && touching[v].last() != Some(&k) {
+                    touching[v].push(k);
+                }
+            });
+        }
+        // Boxes proven inside, by depth: a box at depth `t` has volume 2⁻ᵗ.
+        let mut accepted: Vec<u64> = Vec::new();
+        let mut interruption = None;
+        let mut still: Vec<usize> = Vec::new();
+        let mut queue: VecDeque<Pending> = VecDeque::from([Pending {
+            cube: IntervalBox::unit(n),
+            depth: 0,
+            undecided: all.as_slice().into(),
+        }]);
         let mut processed = 0usize;
-        while let Some(cube) = queue.pop_front() {
+        while let Some(Pending { mut cube, depth, undecided }) = queue.pop_front() {
             processed += 1;
             if processed > max_boxes {
                 break;
             }
             if processed % 64 == 0 {
                 if let Err(e) = check(Poll::Sweep) {
-                    return (total, Some(e));
+                    interruption = Some(e);
+                    break;
                 }
             }
-            let mut all_hold = true;
-            let mut any_fail = false;
-            for c in &self.constraints {
-                match c.check_box(&cube) {
-                    Some(true) => {}
-                    Some(false) => {
-                        any_fail = true;
-                        break;
+            // Only the constraints mentioning the variable the last bisection
+            // split can change verdict; the root checks every constraint.
+            let mut touched = if depth == 0 { &all } else { &touching[split_dim(depth - 1)] }
+                .iter()
+                .peekable();
+            still.clear();
+            let mut outside = false;
+            for &k in undecided.iter() {
+                while touched.next_if(|&&j| j < k).is_some() {}
+                if touched.next_if_eq(&&k).is_some() {
+                    match self.constraints[k].check_box(&cube) {
+                        Some(false) => {
+                            outside = true;
+                            break;
+                        }
+                        Some(true) => continue,
+                        None => {}
                     }
-                    None => all_hold = false,
                 }
+                still.push(k);
             }
-            if any_fail {
+            if outside {
                 continue;
             }
-            if all_hold {
-                total += cube.volume();
+            if still.is_empty() {
+                if accepted.len() <= depth {
+                    accepted.resize(depth + 1, 0);
+                }
+                accepted[depth] += 1;
+                inside(&cube);
                 continue;
             }
-            match cube.bisect_widest() {
-                Some((a, b)) => {
-                    queue.push_back(a);
-                    queue.push_back(b);
-                }
-                None => continue,
+            if n == 0 {
+                // A 0-dimensional box cannot be split.
+                continue;
+            }
+            let undecided =
+                if still.len() == undecided.len() { undecided } else { still.as_slice().into() };
+            let upper = cube.bisect_dim(split_dim(depth));
+            queue.push_back(Pending { cube, depth: depth + 1, undecided: undecided.clone() });
+            queue.push_back(Pending { cube: upper, depth: depth + 1, undecided });
+        }
+        let mut total = Rational::zero();
+        for (depth, &count) in accepted.iter().enumerate() {
+            if count > 0 {
+                let volume = Rational::half().pow(i32::try_from(depth).expect("sweep depth"));
+                total += &Rational::from_int(count as i64) * &volume;
             }
         }
-        (total, None)
+        (total, interruption)
     }
 
     /// Probability of the path region: exact for linear constraint systems,

@@ -275,54 +275,25 @@ pub fn derive_set_type(term: &Term, traces: &[IntervalTrace]) -> Result<SetTypeJ
 /// monotonically increasing chain whose lub is `Pterm(M)` (Thm. 4.1).
 pub fn derive_from_exploration(term: &Term, depth: usize) -> SetTypeJudgement {
     use probterm_intervalsem::{explore, ExplorationConfig};
-    use std::collections::VecDeque;
     let exploration = explore(
         term,
         &ExplorationConfig::default()
             .with_max_steps_per_path(depth)
             .with_max_paths(50_000),
     );
-    // Turn each symbolic path into interval traces: bisect the unit box
-    // breadth-first against the path constraints and keep every sub-box on
-    // which all constraints certainly hold (boundary slivers stay undecided
-    // and are simply dropped, keeping the weight a sound lower bound).
+    // Turn each symbolic path into interval traces: the box sweep bisects the
+    // unit box breadth-first against the path constraints, and every sub-box
+    // on which all constraints certainly hold becomes a trace (boundary
+    // slivers stay undecided and are simply dropped, keeping the weight a
+    // sound lower bound).
     let mut traces: Vec<IntervalTrace> = Vec::new();
     for path in &exploration.terminated {
-        let mut queue: VecDeque<probterm_numerics::IntervalBox> =
-            VecDeque::from([probterm_numerics::IntervalBox::unit(path.sample_count)]);
-        let mut budget = 256usize;
-        while let Some(cube) = queue.pop_front() {
-            if budget == 0 {
-                break;
+        path.try_sweep_boxes::<std::convert::Infallible>(256, &mut |_| Ok(()), &mut |cube| {
+            let trace = IntervalTrace::new(cube.intervals().to_vec());
+            if run_interval(term, &trace, 1_000_000).is_terminated() {
+                traces.push(trace);
             }
-            budget -= 1;
-            let mut all = true;
-            let mut any_fail = false;
-            for c in &path.constraints {
-                match c.check_box(&cube) {
-                    Some(true) => {}
-                    Some(false) => {
-                        any_fail = true;
-                        break;
-                    }
-                    None => all = false,
-                }
-            }
-            if any_fail {
-                continue;
-            }
-            if all {
-                let trace = IntervalTrace::new(cube.intervals().to_vec());
-                if run_interval(term, &trace, 1_000_000).is_terminated() {
-                    traces.push(trace);
-                }
-                continue;
-            }
-            if let Some((a, b)) = cube.bisect_widest() {
-                queue.push_back(a);
-                queue.push_back(b);
-            }
-        }
+        });
     }
     derive_set_type(term, &traces).unwrap_or(SetTypeJudgement {
         term: term.clone(),

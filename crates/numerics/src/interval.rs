@@ -407,6 +407,21 @@ impl IntervalBox {
         right[idx] = hi_half;
         Some((IntervalBox::new(left), IntervalBox::new(right)))
     }
+
+    /// Bisects dimension `dim` in place: the box keeps the lower half and the
+    /// upper half is returned. One clone, where [`IntervalBox::bisect_widest`]
+    /// makes two and compares every width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is out of range.
+    pub fn bisect_dim(&mut self, dim: usize) -> IntervalBox {
+        let (lo_half, hi_half) = self.dims[dim].bisect();
+        let mut upper = self.clone();
+        upper.dims[dim] = hi_half;
+        self.dims[dim] = lo_half;
+        upper
+    }
 }
 
 impl fmt::Display for IntervalBox {
@@ -535,6 +550,10 @@ mod tests {
         assert_eq!(&l.volume() + &r.volume(), b.volume());
         let point_box = IntervalBox::new(vec![Interval::point(Rational::one())]);
         assert!(point_box.bisect_widest().is_none());
+        let mut lower = b.clone();
+        let upper = lower.bisect_dim(1);
+        assert_eq!(lower, IntervalBox::new(vec![iv(0, 1, 1, 2), iv(0, 1, 1, 6)]));
+        assert_eq!(upper, IntervalBox::new(vec![iv(0, 1, 1, 2), iv(1, 6, 1, 3)]));
     }
 
     #[test]

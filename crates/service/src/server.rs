@@ -1928,17 +1928,21 @@ fn route_or_enqueue(
     true
 }
 
-/// The graceful drain both serve loops end with once they stop taking
-/// input: dropping the queue's only sender lets the workers finish (or
-/// checkpoint, as the engines' budget checks observe the draining flag)
-/// everything queued and in flight, then exit; the cache snapshot is then
-/// written for the next boot.
+/// How both serve loops end once they stop taking input: dropping the
+/// queue's only sender lets the workers run everything queued and in
+/// flight, then exit; the cache snapshot is then written for the next boot.
+/// With `checkpoint` (after a `shutdown` request) the draining flag is set
+/// first, so the engines' budget checks cut every run short and checkpoint
+/// it; without it (stdin closed) every run completes.
 fn drain(
     state: &ServerState,
     jobs: mpsc::Sender<Job>,
     workers: Vec<thread::JoinHandle<()>>,
+    checkpoint: bool,
 ) -> io::Result<()> {
-    state.draining.store(true, Ordering::SeqCst);
+    if checkpoint {
+        state.draining.store(true, Ordering::SeqCst);
+    }
     drop(jobs);
     for worker in workers {
         let _ = worker.join();
@@ -2088,7 +2092,9 @@ impl Server {
 
     /// Serves newline-delimited JSON over stdin/stdout until EOF or a
     /// `shutdown` request, dispatching to the worker pool. Replies may
-    /// interleave out of request order; clients correlate by `id`.
+    /// interleave out of request order; clients correlate by `id`. At EOF
+    /// every queued request still runs to completion before this returns;
+    /// after `shutdown` queued and running engine requests checkpoint.
     ///
     /// # Errors
     ///
@@ -2129,7 +2135,9 @@ impl Server {
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
-        drain(&self.state, jobs, workers)?;
+        // End of input only means no more requests: what is queued still
+        // runs to completion. A `shutdown` request checkpoints instead.
+        drain(&self.state, jobs, workers, self.state.shutdown_requested())?;
         read_error.map_or(Ok(()), Err)
     }
 
@@ -2293,7 +2301,7 @@ impl Server {
                 }
             }
         }
-        drain(&self.state, jobs, workers)?;
+        drain(&self.state, jobs, workers, true)?;
         fatal.map_or(Ok(()), Err)
     }
 

@@ -242,6 +242,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .filter(|&n: &usize| n > 0)
                     .ok_or_else(|| "--max-conns requires a positive number".to_string())?;
             }
+            other if other.starts_with('-') => {
+                return Err(format!("unknown option {other}"));
+            }
             other => options.positional.push(other.to_string()),
         }
     }
@@ -304,7 +307,8 @@ fn usage() -> &'static str {
      bench-report [<file>]  read a BENCH_history.jsonl (default ./), compare\n\
                           the latest record of every bench against the median\n\
                           of its earlier records, and flag regressions\n\
-                          (throughput down or latency up beyond the threshold)\n\
+                          (throughput down or latency up beyond the threshold;\n\
+                          a metric recorded with a MAD beyond 4 MADs instead)\n\
               --threshold PCT  relative change that counts as a regression\n\
                           (default 20)\n\
               --format F  text (default) or json\n\
@@ -676,11 +680,14 @@ struct BenchReport {
 
 /// Whether a larger value of `metric` is better (`Some(true)`), worse
 /// (`Some(false)`), or not comparable (`None`). Throughputs want to go up;
-/// timings want to go down; anything else (counters, sizes, request totals)
-/// has no inherent direction and is skipped rather than guessed.
+/// timings want to go down; anything else (counters, sizes, request totals,
+/// the MAD recorded beside a timing) has no inherent direction and is
+/// skipped rather than guessed.
 fn metric_direction(metric: &str) -> Option<bool> {
     let name = metric.rsplit('/').next().unwrap_or(metric);
-    if name.contains("per_sec") || name.contains("throughput") || name.contains("speedup") {
+    if name.contains("_mad") {
+        None
+    } else if name.contains("per_sec") || name.contains("throughput") || name.contains("speedup") {
         Some(true)
     } else if name.ends_with("_us") || name.ends_with("_ms") {
         Some(false)
@@ -740,8 +747,60 @@ fn median(values: &mut [f64]) -> f64 {
     }
 }
 
+/// How many spreads a metric must move, in its bad direction, to count as a
+/// regression when its record carries a MAD (median absolute deviation).
+const MAD_MULTIPLE: f64 = 4.0;
+
+/// The spread (an absolute MAD) of each metric of one flattened record that
+/// has one. A timed column `<stem>_<unit>` takes the MAD its record keeps in
+/// `<stem>_mad_<unit>`. Any other metric of an object holding exactly two
+/// such columns is their ratio (the `speedup` of `symbolic_scaling`): its
+/// relative spread is the sum of the two columns' relative spreads, the
+/// first-order bound on a quotient's relative error.
+fn metric_spreads(flat: &[(String, f64)]) -> std::collections::HashMap<&str, f64> {
+    /// `(prefix, leaf)` of a flattened name; the prefix keeps its `/`.
+    fn split(name: &str) -> (&str, &str) {
+        name.rfind('/').map_or(("", name), |i| name.split_at(i + 1))
+    }
+    let values: std::collections::HashMap<&str, f64> =
+        flat.iter().map(|(name, value)| (name.as_str(), *value)).collect();
+    let mut spreads = std::collections::HashMap::new();
+    for (name, value) in flat {
+        let (prefix, leaf) = split(name);
+        if leaf.contains("_mad") {
+            continue;
+        }
+        let own = leaf
+            .rsplit_once('_')
+            .and_then(|(stem, unit)| values.get(format!("{prefix}{stem}_mad_{unit}").as_str()));
+        let spread = own.copied().or_else(|| {
+            let columns: Vec<f64> = flat
+                .iter()
+                .filter_map(|(mad_name, mad)| {
+                    let (mad_prefix, mad_leaf) = split(mad_name);
+                    let column = mad_leaf.replacen("_mad_", "_", 1);
+                    if mad_prefix != prefix || column == mad_leaf {
+                        return None;
+                    }
+                    let column = values.get(format!("{prefix}{column}").as_str())?;
+                    (*column > 0.0).then(|| mad / column)
+                })
+                .collect();
+            (columns.len() == 2).then(|| columns.iter().sum::<f64>() * value.abs())
+        });
+        if let Some(spread) = spread {
+            spreads.insert(name.as_str(), spread);
+        }
+    }
+    spreads
+}
+
 /// Compares the latest record of every bench against the median of that
-/// bench's earlier records, metric by metric. Metrics without a direction,
+/// bench's earlier records, metric by metric. A metric whose latest record
+/// carries a spread ([`metric_spreads`]) regresses when it moves in its bad
+/// direction by more than [`MAD_MULTIPLE`] times the latest spread and the
+/// median earlier spread combined (in quadrature); any other metric when it
+/// moves by more than `threshold_pct` percent. Metrics without a direction,
 /// without history, or with a non-positive baseline (relative change is
 /// undefined) are skipped; `compared` counts only actual comparisons.
 fn analyze_history(
@@ -760,6 +819,8 @@ fn analyze_history(
         let last = latest_index[bench];
         let mut history: std::collections::HashMap<&str, Vec<f64>> =
             std::collections::HashMap::new();
+        let mut spread_history: std::collections::HashMap<&str, Vec<f64>> =
+            std::collections::HashMap::new();
         for (b, flat) in &records[..last] {
             if b.as_str() != *bench {
                 continue;
@@ -767,7 +828,11 @@ fn analyze_history(
             for (metric, value) in flat {
                 history.entry(metric.as_str()).or_default().push(*value);
             }
+            for (metric, spread) in metric_spreads(flat) {
+                spread_history.entry(metric).or_default().push(spread);
+            }
         }
+        let latest_spreads = metric_spreads(&records[last].1);
         for (metric, latest) in &records[last].1 {
             let Some(higher_is_better) = metric_direction(metric) else { continue };
             let Some(samples) = history.get_mut(metric.as_str()) else { continue };
@@ -777,10 +842,13 @@ fn analyze_history(
             }
             compared += 1;
             let delta_pct = (latest - baseline) / baseline * 100.0;
-            let regressed = if higher_is_better {
-                delta_pct < -threshold_pct
-            } else {
-                delta_pct > threshold_pct
+            let worse_by = if higher_is_better { baseline - latest } else { latest - baseline };
+            let regressed = match latest_spreads.get(metric.as_str()) {
+                Some(spread) => {
+                    let earlier = spread_history.get_mut(metric.as_str()).map_or(0.0, |s| median(s));
+                    worse_by > MAD_MULTIPLE * spread.hypot(earlier)
+                }
+                None => worse_by / baseline * 100.0 > threshold_pct,
             };
             if regressed {
                 regressions.push(Regression {
@@ -1246,6 +1314,18 @@ mod tests {
     }
 
     #[test]
+    fn unknown_options_are_usage_errors() {
+        let args = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+        for bad in [&["--bogus-flag"][..], &["--workers", "2", "--shards", "4"], &["prog.spcf", "-x"]] {
+            let err = parse_options(&args(bad)).err().expect("an unknown option is rejected");
+            assert!(err.starts_with("unknown option -"), "{bad:?}: {err}");
+        }
+        let options = parse_options(&args(&["prog.spcf", "--depth", "7", "--cbv"])).unwrap();
+        assert_eq!(options.positional, ["prog.spcf"]);
+        assert_eq!((options.depth, options.cbv), (7, true));
+    }
+
+    #[test]
     fn trace_check_rejects_unknown_ops_with_line_numbers() {
         let path = temp_path("trace_ops");
         let good = r#"{"seq":1,"id":1,"op":"lower","queue_us":1,"cache_us":1,"engine_us":1,"serialize_us":1,"total_us":10,"outcome":"ok"}"#;
@@ -1351,6 +1431,49 @@ mod tests {
         );
         assert!(render_bench_report(&report, 20.0, "dot").is_err());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bench_report_measures_moves_in_recorded_mads() {
+        // A row in the `symbolic_scaling` shape (two timed columns with MADs
+        // and their ratio) and a row holding a latency with its own MAD.
+        let record = |speedup: f64, rel_mad: f64, latency: f64, latency_mad: f64| {
+            let (machine, substitution) = (100.0, 100.0 * speedup);
+            let mut flat = Vec::new();
+            let row = serde_json::from_str(&format!(
+                r#"[{{"benchmark":"p","machine_ns":{machine},"machine_mad_ns":{},"substitution_ns":{substitution},"substitution_mad_ns":{},"speedup":{speedup}}},{{"benchmark":"q","latency_us":{latency},"latency_mad_us":{latency_mad}}}]"#,
+                machine * rel_mad,
+                substitution * rel_mad,
+            ))
+            .unwrap();
+            flatten_metrics(&row, "", &mut flat);
+            ("scaling".to_string(), flat)
+        };
+        let (_, baseline) = record(10.0, 0.05, 100.0, 2.0);
+        let spreads = metric_spreads(&baseline);
+        assert!((spreads["0/speedup"] - 1.0).abs() < 1e-9, "{spreads:?}");
+        assert_eq!(spreads["1/latency_us"], 2.0);
+        assert_eq!(spreads["0/machine_ns"], 5.0);
+        let regressions = |latest| {
+            let report = analyze_history(&[record(10.0, 0.05, 100.0, 2.0), latest], 20.0);
+            assert_eq!(report.compared, 2, "the ratio and the latency");
+            report.regressions.into_iter().map(|r| r.metric).collect::<Vec<_>>()
+        };
+        // Shifts inside the spread: 25 % and 30 % worse, past the flat
+        // threshold but within four combined MADs.
+        assert!(regressions(record(7.5, 0.05, 130.0, 10.0)).is_empty());
+        // Far outside it: each flagged, even a 15 % latency move under a
+        // tight MAD that the flat threshold would let pass.
+        assert_eq!(regressions(record(2.0, 0.05, 100.0, 2.0)), ["0/speedup"]);
+        assert_eq!(regressions(record(10.0, 0.05, 115.0, 1.0)), ["1/latency_us"]);
+        // Records without a MAD keep the flat threshold.
+        let flat_only = |latency: f64| {
+            ("svc".to_string(), vec![("latency_us".to_string(), latency)])
+        };
+        let report = analyze_history(&[flat_only(100.0), flat_only(115.0)], 20.0);
+        assert!(report.regressions.is_empty());
+        let report = analyze_history(&[flat_only(100.0), flat_only(125.0)], 20.0);
+        assert_eq!(report.regressions.len(), 1);
     }
 
     #[test]

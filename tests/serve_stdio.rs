@@ -1,7 +1,9 @@
 //! `probterm serve` without `--addr` speaks NDJSON over stdin/stdout: every
-//! line piped in gets exactly one reply, and closing stdin drains the worker
-//! pool and exits 0.
+//! line piped in gets exactly one reply, and closing stdin lets the worker
+//! pool finish every queued request, then exits 0.
 
+use probterm_core::intervalsem::{lower_bound, LowerBoundConfig};
+use probterm_core::spcf::parse_term;
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Command, Stdio};
@@ -67,4 +69,58 @@ fn stdio_serves_every_line_and_exits_cleanly_at_eof() {
         .and_then(|e| e.get("code"))
         .and_then(Value::as_str);
     assert_eq!(code, Some("parse_error"), "{stdout}");
+}
+
+/// Two `lower` runs for one worker: the first runs while the second waits in
+/// the queue.
+const SLOW_PROGRAM: &str = "(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1";
+const QUICK_PROGRAM: &str = "(fix phi x. if sample <= 1/3 then x else phi (x + 1)) 0";
+
+#[test]
+fn stdio_finishes_queued_requests_after_eof() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_probterm"))
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn probterm serve");
+    let requests = [("slow", SLOW_PROGRAM, 40), ("quick", QUICK_PROGRAM, 20)];
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    for (id, program, depth) in requests {
+        let line = format!(r#"{{"id":"{id}","op":"lower","program":"{program}","depth":{depth}}}"#);
+        writeln!(stdin, "{line}").expect("write a request");
+    }
+    // Closing stdin at once: the queued run must still complete.
+    drop(stdin);
+    let mut stdout = String::new();
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_to_string(&mut stdout)
+        .expect("read to EOF");
+    let status = child.wait().expect("wait for probterm serve");
+    assert!(status.success(), "serve exited with {status:?}");
+    let replies: Vec<Value> = stdout
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("each reply is one JSON line"))
+        .collect();
+    assert_eq!(replies.len(), 2, "one reply per request line:\n{stdout}");
+    for (id, program, depth) in requests {
+        let reply = replies
+            .iter()
+            .find(|r| r.get("id").and_then(Value::as_str) == Some(id))
+            .unwrap_or_else(|| panic!("no reply with id {id}:\n{stdout}"));
+        assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true), "{reply:?}");
+        let result = reply.get("result").expect("an ok reply has a result");
+        assert_eq!(result.get("complete").and_then(Value::as_bool), Some(true), "{reply:?}");
+        let term = parse_term(program).expect("the program parses");
+        let expected = lower_bound(&term, &LowerBoundConfig::default().with_depth(depth));
+        assert_eq!(
+            result.get("probability").and_then(Value::as_str),
+            Some(expected.probability.to_decimal_string(10).as_str()),
+            "{id}: the served bound is the in-process bound"
+        );
+    }
 }
