@@ -64,42 +64,52 @@ fn time_exploration(profile: bool) -> Duration {
     elapsed
 }
 
-/// Time of one `lower_bound` run on geo(1/2) at depth 400. With `publish`,
-/// the run goes through `try_lower_bound` with a hook that publishes into a
-/// fresh [`ProgressCell`] as the analysis service's does; without, through
-/// the no-op hook of `lower_bound`.
+/// `lower_bound` runs per timed sample of [`time_lower_bound`]. One run
+/// takes ~16 ms in a debug build, short enough for a few milliseconds of
+/// descheduling to invert a 5 % comparison; eight make a sample ~130 ms.
+const RUNS_PER_SAMPLE: usize = 8;
+
+/// Time of [`RUNS_PER_SAMPLE`] `lower_bound` runs on geo(1/2) at depth 400.
+/// With `publish`, each run goes through `try_lower_bound` with a hook that
+/// publishes into a fresh [`ProgressCell`] as the analysis service's does;
+/// without, through the no-op hook of `lower_bound`.
 fn time_lower_bound(publish: bool) -> Duration {
     let geo = catalog::geometric(Rational::from_ratio(1, 2)).term;
     let config = LowerBoundConfig::default().with_depth(400).with_max_paths(20_000);
-    let cell = ProgressCell::new();
-    let (mut bound, mut paths) = (0.0, 0u64);
-    let mut poll = |poll: Poll<'_>| {
-        match poll {
-            Poll::Explore { work, frontier, depth } => {
-                cell.publish_exploration(work as u64, frontier as u64, depth as u64);
+    let cells: Vec<ProgressCell> = (0..RUNS_PER_SAMPLE).map(|_| ProgressCell::new()).collect();
+    let run = |cell: &ProgressCell| {
+        let (mut bound, mut paths) = (0.0, 0u64);
+        let mut poll = |poll: Poll<'_>| {
+            match poll {
+                Poll::Explore { work, frontier, depth } => {
+                    cell.publish_exploration(work as u64, frontier as u64, depth as u64);
+                }
+                Poll::Measured(measure) => {
+                    bound += measure.volume.to_f64();
+                    paths += 1;
+                    cell.publish_terminated(paths, bound);
+                }
+                Poll::Sweep => {}
             }
-            Poll::Measured(measure) => {
-                bound += measure.volume.to_f64();
-                paths += 1;
-                cell.publish_terminated(paths, bound);
-            }
-            Poll::Sweep => {}
+            Ok::<(), Infallible>(())
+        };
+        if publish {
+            try_lower_bound(&geo, &config, None, &mut poll).result
+        } else {
+            lower_bound(&geo, &config)
         }
-        Ok::<(), Infallible>(())
     };
     let start = Instant::now();
-    let result = if publish {
-        try_lower_bound(&geo, &config, None, &mut poll).result
-    } else {
-        lower_bound(&geo, &config)
-    };
+    let results: Vec<_> = cells.iter().map(run).collect();
     let elapsed = start.elapsed();
-    assert!(result.probability.is_positive());
-    if publish {
-        let snap = cell.snapshot();
-        assert!(snap.steps > 0, "an attached cell must see exploration work");
-        assert!(snap.paths_terminated > 0, "an attached cell must see terminated paths");
-        assert!(snap.bound_scaled > 0, "an attached cell must see a nonzero bound");
+    for (result, cell) in results.iter().zip(&cells) {
+        assert!(result.probability.is_positive());
+        if publish {
+            let snap = cell.snapshot();
+            assert!(snap.steps > 0, "an attached cell must see exploration work");
+            assert!(snap.paths_terminated > 0, "an attached cell must see terminated paths");
+            assert!(snap.bound_scaled > 0, "an attached cell must see a nonzero bound");
+        }
     }
     elapsed
 }

@@ -253,7 +253,9 @@ pub fn pairwise_compatible(traces: &[IntervalTrace]) -> bool {
 ///
 /// Returns `None` when the argument box is outside the primitive's domain
 /// (e.g. `log` of an interval touching zero), in which case the interval
-/// reduction is stuck.
+/// reduction is stuck, and when a transcendental's enclosure has no finite
+/// `f64` bound (e.g. `exp` of `[0, 1000]`): an unknown enclosure leaves a
+/// box undecided, which keeps every bound sound.
 ///
 /// # Panics
 ///
@@ -268,14 +270,14 @@ pub fn prim_interval(p: Prim, args: &[Interval]) -> Option<Interval> {
         Prim::Abs => args[0].abs(),
         Prim::Min => args[0].min_iv(&args[1]),
         Prim::Max => args[0].max_iv(&args[1]),
-        Prim::Exp => args[0].exp(),
+        Prim::Exp => args[0].exp()?,
         Prim::Log => {
             if !args[0].lo().is_positive() {
                 return None;
             }
-            args[0].log()
+            args[0].log()?
         }
-        Prim::Sig => args[0].sig(),
+        Prim::Sig => args[0].sig()?,
         Prim::Floor => {
             let lo = Rational::from_bigint(args[0].lo().floor());
             let hi = Rational::from_bigint(args[0].hi().floor());

@@ -65,11 +65,13 @@ pub struct PathMeasure {
 pub enum Poll<'a> {
     /// Exploration progress, once before each path and every 256 work units
     /// within long paths: the monotone work counter, the number of paths
-    /// waiting in the queue and the current path's step count.
+    /// waiting and the current path's step count.
     Explore {
         /// Monotone exploration work counter.
         work: usize,
-        /// Paths waiting in the breadth-first queue.
+        /// Paths waiting: those in the breadth-first queue plus the children
+        /// of forks past the path budget, which never enter the queue
+        /// because they would never be popped.
         frontier: usize,
         /// Small steps taken by the current path.
         depth: usize,

@@ -41,6 +41,15 @@
 //! O(sample variables × constraints). The oracle runs once per independent
 //! group of variables, on that group's constraints alone.
 //!
+//! A fork past the path budget costs one history walk and no clone. The
+//! queue is FIFO and the budget cut fires on pop number `max_paths + 1`, so
+//! the n-th path pushed is the n-th popped: once `max_paths` paths have been
+//! pushed, no later child is ever stepped, and its frontier record (the
+//! parent's branches plus its own, one step past the parent) is known at the
+//! fork. Both records go to a list kept behind the queue, which every
+//! abandonment appends after the queue, so the frontier, the polls and the
+//! profile are exactly those of a run that queues every child.
+//!
 //! # Cost of a box sweep
 //!
 //! A non-affine path is measured by [`SymbolicPath::try_box_lower_bound`],
@@ -116,7 +125,8 @@ impl SymValue {
 
     /// Evaluates an interval enclosure of the symbolic value over a box of
     /// sample-variable values. Returns `None` if a partial primitive may be
-    /// applied outside its domain anywhere in the box.
+    /// applied outside its domain anywhere in the box, or if no finite
+    /// enclosure is known (a transcendental overflows `f64`).
     pub fn eval_interval(&self, boxes: &IntervalBox) -> Option<Interval> {
         match self {
             SymValue::Const(r) => Some(Interval::point(r.clone())),
@@ -132,6 +142,35 @@ impl SymValue {
                 _ => panic!("arity mismatch for {p:?}"),
             },
         }
+    }
+
+    /// Why [`eval_interval`](SymValue::eval_interval) found no enclosure
+    /// over the box; `None` when it found one. Kept off the sweep's hot
+    /// path: only a failed evaluation asks.
+    #[cold]
+    #[inline(never)]
+    fn why_unenclosed(&self, boxes: &IntervalBox) -> Option<NoEnclosure> {
+        fn enclose(v: &SymValue, boxes: &IntervalBox) -> Result<Interval, NoEnclosure> {
+            match v {
+                SymValue::Const(r) => Ok(Interval::point(r.clone())),
+                SymValue::Var(i) => {
+                    boxes.intervals().get(*i).cloned().ok_or(NoEnclosure::Undefined)
+                }
+                SymValue::Prim(p, args) => {
+                    let args = args
+                        .iter()
+                        .map(|a| enclose(a, boxes))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    // `log` is the only partial primitive; past its domain
+                    // check, `prim_interval` fails only on an `f64` overflow.
+                    if matches!(p, Prim::Log) && !args[0].lo().is_positive() {
+                        return Err(NoEnclosure::Undefined);
+                    }
+                    crate::iterm::prim_interval(*p, &args).ok_or(NoEnclosure::Unbounded)
+                }
+            }
+        }
+        enclose(self, boxes).err()
     }
 
     /// Calls `visit` on every sample-variable occurrence in the value.
@@ -283,6 +322,15 @@ pub enum ConstraintKind {
     NonNegative,
 }
 
+/// Why a symbolic value has no interval enclosure over a box.
+enum NoEnclosure {
+    /// A partial primitive may be applied outside its domain somewhere in
+    /// the box, where the path gets stuck.
+    Undefined,
+    /// An enclosure endpoint overflows `f64`; a smaller box may have one.
+    Unbounded,
+}
+
 /// A symbolic (in)equality `V ⊲⊳ 0` collected along a path (App. B.5).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymConstraint {
@@ -306,11 +354,15 @@ impl SymConstraint {
 
     /// Interval check over a box: `Some(true)` when the constraint certainly
     /// holds on the whole box, `Some(false)` when it certainly fails on the
-    /// whole box, and `None` when undecided.
+    /// whole box or a primitive may leave its domain there (so the box cannot
+    /// be counted), and `None` when undecided, which includes an enclosure
+    /// that overflows `f64`.
     pub fn check_box(&self, boxes: &IntervalBox) -> Option<bool> {
-        let iv = match self.value.eval_interval(boxes) {
-            Some(iv) => iv,
-            None => return Some(false),
+        let Some(iv) = self.value.eval_interval(boxes) else {
+            return match self.value.why_unenclosed(boxes) {
+                Some(NoEnclosure::Unbounded) => None,
+                _ => Some(false),
+            };
         };
         match self.kind {
             ConstraintKind::NonPositive => {
@@ -1161,36 +1213,41 @@ pub fn try_explore_seeded<'t, E>(
             }
         }
     }
+    // The queue is FIFO and the budget cut fires on pop number
+    // `max_paths + 1`, so the n-th path pushed is the n-th popped and a path
+    // pushed once `pushed >= max_paths` is never stepped. Forks past that
+    // point write their children straight into `overflow`, the frontier
+    // records that wait behind the queue.
+    let mut pushed = queue.len();
+    let mut overflow: Vec<FrontierPath> = Vec::new();
     let mut processed = 0usize;
     let mut work = 0usize;
     let mut interruption: Option<E> = None;
     'exploration: while let Some(mut path) = queue.pop_front() {
         processed += 1;
         if processed > config.max_paths {
-            result.out_of_fuel += 1 + queue.len();
+            result.out_of_fuel += 1;
             result.frontier.push(path.into_frontier());
-            result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
             break;
         }
-        let poll = Poll::Explore { work, frontier: queue.len(), depth: path.machine.steps() };
+        let waiting = queue.len() + overflow.len();
+        let poll = Poll::Explore { work, frontier: waiting, depth: path.machine.steps() };
         if let Err(e) = check(poll) {
             result.interrupted = true;
-            result.out_of_fuel += 1 + queue.len();
+            result.out_of_fuel += 1;
             result.frontier.push(path.into_frontier());
-            result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
-            result.profile = profile.as_ref().map(|cell| cell.snapshot());
-            return (result, Some(e));
+            interruption = Some(e);
+            break;
         }
         loop {
             work += 1;
             if work % 256 == 0 {
-                let poll =
-                    Poll::Explore { work, frontier: queue.len(), depth: path.machine.steps() };
+                let waiting = queue.len() + overflow.len();
+                let poll = Poll::Explore { work, frontier: waiting, depth: path.machine.steps() };
                 if let Err(e) = check(poll) {
                     result.interrupted = true;
-                    result.out_of_fuel += 1 + queue.len();
+                    result.out_of_fuel += 1;
                     result.frontier.push(path.into_frontier());
-                    result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
                     interruption = Some(e);
                     break 'exploration;
                 }
@@ -1208,8 +1265,6 @@ pub fn try_explore_seeded<'t, E>(
                     result.terminated.push(terminated);
                     if let Err(e) = hooked {
                         result.interrupted = true;
-                        result.out_of_fuel += queue.len();
-                        result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
                         interruption = Some(e);
                         break 'exploration;
                     }
@@ -1269,6 +1324,23 @@ pub fn try_explore_seeded<'t, E>(
                                 },
                             },
                         );
+                    } else if pushed >= config.max_paths {
+                        // Neither child is ever popped, so each becomes its
+                        // frontier record now: one history walk, no clone.
+                        // The profile still sees the fork and the two branch
+                        // steps the children would have taken.
+                        let steps = path.machine.steps() + 1;
+                        let mut branches = path.history.branches();
+                        branches.push(Branch::Then);
+                        overflow.push(FrontierPath { steps, branches: Arc::from(&branches[..]) });
+                        *branches.last_mut().expect("just pushed") = Branch::Else;
+                        overflow.push(FrontierPath { steps, branches: branches.into() });
+                        if let Some(cell) = &profile {
+                            cell.count_steps(2);
+                            cell.count_fork();
+                            cell.observe_frontier(queue.len() + overflow.len());
+                        }
+                        break;
                     } else {
                         let mut else_path = PathState {
                             machine: path.machine.clone(),
@@ -1291,6 +1363,7 @@ pub fn try_explore_seeded<'t, E>(
                         );
                         queue.push_back(path);
                         queue.push_back(else_path);
+                        pushed += 2;
                         if let Some(cell) = &profile {
                             cell.count_fork();
                             cell.observe_frontier(queue.len());
@@ -1319,6 +1392,11 @@ pub fn try_explore_seeded<'t, E>(
             }
         }
     }
+    // Whatever still waits is abandoned in push order: the queue, then the
+    // budget-overflow records behind it.
+    result.out_of_fuel += queue.len() + overflow.len();
+    result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
+    result.frontier.append(&mut overflow);
     result.profile = profile.as_ref().map(|cell| cell.snapshot());
     (result, interruption)
 }
@@ -1831,6 +1909,24 @@ mod tests {
         let truth = (1.0 + std::f64::consts::LN_2) / 2.0;
         assert!(lb.to_f64() <= truth);
         assert!(lb.to_f64() > truth - 0.1, "lower bound too weak: {}", lb.to_f64());
+    }
+
+    #[test]
+    fn enclosures_that_overflow_f64_leave_boxes_undecided() {
+        // exp(1000·α0) overflows f64 wherever α0 > ln(f64::MAX)/1000 ≈ 0.7097,
+        // so no box reaching past that point is decided; the boxes below it
+        // are, and the bound stays sound and positive.
+        let e = explore_src("if exp (1000 * sample) <= 5 then 0 else 1", 100);
+        assert_eq!(e.terminated.len(), 2);
+        let root = IntervalBox::unit(1);
+        for path in &e.terminated {
+            assert_eq!(path.constraints[0].check_box(&root), None);
+        }
+        let mass: f64 = e.terminated.iter().map(|p| p.probability(3_000).to_f64()).sum();
+        assert!(mass > 0.6 && mass <= 0.7098, "mass {mass}");
+        // A domain error still drops the box: log is undefined below α0 = 1/2.
+        let log = explore_src("if log (sample - 1/2) <= 0 then 0 else 1", 100);
+        assert_eq!(log.terminated[0].constraints[0].check_box(&root), Some(false));
     }
 
     #[test]

@@ -237,36 +237,39 @@ impl Interval {
     /// Conservative enclosure of `exp` over the interval.
     ///
     /// The result is outward rounded using exactly-represented `f64` bounds,
-    /// so it always contains the true image (monotonicity of `exp`).
-    pub fn exp(&self) -> Interval {
-        Interval::new(
-            outward_lo(self.lo.to_f64().exp()),
-            outward_hi(self.hi.to_f64().exp()),
-        )
+    /// so it always contains the true image (monotonicity of `exp`). `None`
+    /// when an endpoint overflows `f64`: no finite bound is then known.
+    pub fn exp(&self) -> Option<Interval> {
+        Some(Interval::new(
+            outward_lo(self.lo.to_f64().exp())?,
+            outward_hi(self.hi.to_f64().exp())?,
+        ))
     }
 
     /// Conservative enclosure of the logistic sigmoid `sig(x) = 1/(1+e^{-x})`,
-    /// clamped to `[0, 1]` (the sigmoid's true range).
-    pub fn sig(&self) -> Interval {
-        let lo = outward_lo(sigmoid(self.lo.to_f64())).max(Rational::zero());
-        let hi = outward_hi(sigmoid(self.hi.to_f64())).min(Rational::one());
-        Interval::new(lo, hi)
+    /// clamped to `[0, 1]` (the sigmoid's true range). `None` when an
+    /// endpoint is not a finite `f64`.
+    pub fn sig(&self) -> Option<Interval> {
+        let lo = outward_lo(sigmoid(self.lo.to_f64()))?.max(Rational::zero());
+        let hi = outward_hi(sigmoid(self.hi.to_f64()))?.min(Rational::one());
+        Some(Interval::new(lo, hi))
     }
 
     /// Conservative enclosure of `log` (natural logarithm) over the interval.
+    /// `None` when an endpoint overflows `f64`.
     ///
     /// # Panics
     ///
     /// Panics if the interval contains non-positive values.
-    pub fn log(&self) -> Interval {
+    pub fn log(&self) -> Option<Interval> {
         assert!(
             self.lo.is_positive(),
             "log enclosure requires a strictly positive interval"
         );
-        Interval::new(
-            outward_lo(self.lo.to_f64().ln()),
-            outward_hi(self.hi.to_f64().ln()),
-        )
+        Some(Interval::new(
+            outward_lo(self.lo.to_f64().ln())?,
+            outward_hi(self.hi.to_f64().ln())?,
+        ))
     }
 
     /// Clamps the interval into `[0, 1]` if it overlaps it; returns `None`
@@ -301,16 +304,18 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Rounds a float *down* by a relative ulp-scale margin and converts exactly.
-fn outward_lo(v: f64) -> Rational {
+/// Rounds a float *down* by a relative ulp-scale margin and converts exactly;
+/// `None` when the rounded value is not finite.
+fn outward_lo(v: f64) -> Option<Rational> {
     let margin = (v.abs() * 1e-12).max(1e-300);
-    Rational::from_f64_exact(v - margin)
+    Rational::from_f64_finite(v - margin)
 }
 
-/// Rounds a float *up* by a relative ulp-scale margin and converts exactly.
-fn outward_hi(v: f64) -> Rational {
+/// Rounds a float *up* by a relative ulp-scale margin and converts exactly;
+/// `None` when the rounded value is not finite.
+fn outward_hi(v: f64) -> Option<Rational> {
     let margin = (v.abs() * 1e-12).max(1e-300);
-    Rational::from_f64_exact(v + margin)
+    Rational::from_f64_finite(v + margin)
 }
 
 impl fmt::Display for Interval {
@@ -529,13 +534,31 @@ mod tests {
     #[test]
     fn transcendental_enclosures() {
         let a = iv(0, 1, 1, 1);
-        let e = a.exp();
+        let e = a.exp().unwrap();
         assert!(e.lo().to_f64() <= 1.0 && e.hi().to_f64() >= std::f64::consts::E);
-        let s = a.sig();
+        let s = a.sig().unwrap();
         assert!(s.lo().to_f64() <= 0.5 && s.hi().to_f64() >= 0.731);
         assert!(s.hi() <= &Rational::one());
-        let l = iv(1, 1, 2, 1).log();
+        let l = iv(1, 1, 2, 1).log().unwrap();
         assert!(l.lo().to_f64() <= 0.0 + 1e-9 && l.hi().to_f64() >= std::f64::consts::LN_2);
+    }
+
+    #[test]
+    fn enclosures_beyond_f64_are_unknown() {
+        // exp(1000) overflows f64: no finite upper bound is known.
+        assert_eq!(iv(0, 1, 1000, 1).exp(), None);
+        // 10^512 converts to +inf as an f64, and so does its log; the
+        // sigmoid of ±inf is still finite.
+        let mut huge = Rational::from_int(10);
+        for _ in 0..9 {
+            huge = &huge * &huge;
+        }
+        assert_eq!(Interval::new(Rational::one(), huge.clone()).log(), None);
+        let s = Interval::new(-&huge, huge).sig().unwrap();
+        assert!(s.lo() == &Rational::zero() && s.hi() == &Rational::one());
+        // An underflow to 0 is still finite and still encloses.
+        let e = iv(-1000, 1, 0, 1).exp().unwrap();
+        assert!(e.lo().to_f64() <= 0.0 && e.hi() >= &Rational::one());
     }
 
     #[test]

@@ -425,6 +425,13 @@ impl Rational {
         }
     }
 
+    /// [`from_f64_exact`](Rational::from_f64_exact) for a float that may not
+    /// be finite: `None` for ±inf and NaN.
+    #[must_use]
+    pub fn from_f64_finite(v: f64) -> Option<Rational> {
+        v.is_finite().then(|| Rational::from_f64_exact(v))
+    }
+
     /// Converts a finite `f64` into the exactly-represented rational.
     ///
     /// # Panics

@@ -2434,7 +2434,7 @@ mod tests {
         let s = server();
         // A binary-branching recursion with a cubic guard explores an
         // exponential tree and measures every path with the box sweep: depth
-        // 400 takes over 50 s in a release build, but the first terminating
+        // 400 takes about 12 s in a release build, but the first terminating
         // paths are found and measured within milliseconds, so the partial
         // bound is nonzero.
         let tree = "(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0";
@@ -2527,7 +2527,7 @@ mod tests {
         let s = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
         // geo with a non-affine guard: its path tree is a single chain, so
         // its frontier stays tiny, but every path is measured by the box
-        // sweep over ever more dimensions. Depth 1600 takes about 20 s in a
+        // sweep over ever more dimensions. Depth 1600 takes about 2.5 s in a
         // release build, so the first run truncates with a checkpoint.
         let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
         let reply = s
@@ -2814,7 +2814,7 @@ mod tests {
     #[test]
     fn analyze_reports_partial_results_under_deadline() {
         let s = server();
-        // Over 50 s of box sweeps in a release build (see above).
+        // About 12 s of box sweeps in a release build (see above).
         let tree = "(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0";
         let reply = s
             .handle_line(&format!(

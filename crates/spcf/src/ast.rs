@@ -124,7 +124,8 @@ impl Prim {
     /// certified enclosures instead.
     ///
     /// Returns `None` when the argument is outside the primitive's domain
-    /// (e.g. `log` of a non-positive number).
+    /// (e.g. `log` of a non-positive number) and when a transcendental's
+    /// `f64` result is not finite (e.g. `exp(1000)`).
     ///
     /// # Panics
     ///
@@ -139,16 +140,16 @@ impl Prim {
             Prim::Abs => args[0].abs(),
             Prim::Min => args[0].clone().min(args[1].clone()),
             Prim::Max => args[0].clone().max(args[1].clone()),
-            Prim::Exp => Rational::from_f64_exact(args[0].to_f64().exp()),
+            Prim::Exp => Rational::from_f64_finite(args[0].to_f64().exp())?,
             Prim::Log => {
                 if !args[0].is_positive() {
                     return None;
                 }
-                Rational::from_f64_exact(args[0].to_f64().ln())
+                Rational::from_f64_finite(args[0].to_f64().ln())?
             }
             Prim::Sig => {
                 let x = args[0].to_f64();
-                Rational::from_f64_exact(1.0 / (1.0 + (-x).exp()))
+                Rational::from_f64_finite(1.0 / (1.0 + (-x).exp()))?
             }
             Prim::Floor => Rational::from_bigint(args[0].floor()),
         })
@@ -539,6 +540,19 @@ mod tests {
         );
         assert_eq!(Prim::Log.eval(&[Rational::zero()]), None);
         assert!(Prim::Sig.eval(&[Rational::zero()]).unwrap() == Rational::from_ratio(1, 2));
+    }
+
+    #[test]
+    fn prim_eval_overflowing_floats_are_undefined() {
+        // exp(1000) is +inf as an f64: undefined, like log of a non-positive.
+        assert_eq!(Prim::Exp.eval(&[Rational::from_int(1000)]), None);
+        assert!(Prim::Exp.eval(&[Rational::from_int(700)]).is_some());
+        let mut huge = Rational::from_int(10);
+        for _ in 0..9 {
+            huge = &huge * &huge;
+        }
+        assert_eq!(Prim::Log.eval(&[huge.clone()]), None);
+        assert_eq!(Prim::Sig.eval(&[-&huge]), Some(Rational::zero()));
     }
 
     #[test]

@@ -69,8 +69,8 @@ if [ -x target/release/probterm ]; then
         *) echo "cli FAILED: lower: $lower_out"; cli_status=1 ;;
     esac
     # A binary-branching recursion with a cubic guard: every path needs the
-    # box sweep, so the full run takes over a minute, far beyond the 100 ms
-    # deadline.
+    # box sweep, so the full run takes about 12 s (it stops at the 50,000-path
+    # budget), far beyond the 100 ms deadline.
     partial_out=$(timeout 60 target/release/probterm lower \
         -e '(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0' \
         --depth 4000 --deadline-ms 100)
@@ -214,6 +214,9 @@ if [ -x target/release/probterm ]; then
     smoke_request '{"id":2,"op":"verify","program":"(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1"}' '"verified":true'
     smoke_request '{"id":3,"op":"simulate","program":"(fix phi x. phi x) 0","runs":400000,"steps":2500,"deadline_ms":40}' '"code":"budget_exceeded"'
     smoke_request '{"id":7,"op":"lower","program":"(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0","depth":400,"deadline_ms":25}' '"complete":false'
+    # A guard whose interval enclosure overflows f64 (exp of up to 1000)
+    # leaves those boxes undecided; it must not bring the engine down.
+    smoke_request '{"id":12,"op":"lower","program":"if exp (1000 * sample) <= 5 then 0 else 1","depth":10}' '"ok":true'
     smoke_request '{"id":4,"op":"lower","program":"((("}' '"code":"parse_error"'
     smoke_request 'this is not json' '"code":"parse_error"'
     smoke_request '{"id":5,"op":"stats"}' '"misses":'
@@ -236,7 +239,7 @@ if [ -x target/release/probterm ]; then
     # trace record carrying the schema fields.
     trace_out=$(target/release/probterm trace-check "$trace_file")
     case "$trace_out" in
-        "ok: 12 trace records"*) echo "smoke ok: trace ($trace_out)" ;;
+        "ok: 13 trace records"*) echo "smoke ok: trace ($trace_out)" ;;
         *)
             echo "smoke FAILED: trace validation: $trace_out"
             smoke_status=1
@@ -300,7 +303,7 @@ if [ -x target/release/probterm ]; then
     }
     geo='(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0'
     # geo with a non-affine guard: each path needs the box sweep, so depth 250
-    # takes about a second, over ten times run 2's deadline.
+    # takes about 0.2 s, three times run 2's deadline.
     slow_geo='(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0'
     # Engine run 1: a plain complete lower.
     chaos_request '{"id":1,"op":"lower","program":"'"$geo"'","depth":25}' '"ok":true'
