@@ -39,7 +39,13 @@
 //! volume oracle it costs O(sample variables + total size of the
 //! constraints), where one dense coefficient vector per constraint would cost
 //! O(sample variables × constraints). The oracle runs once per independent
-//! group of variables, on that group's constraints alone.
+//! group of variables, on that group's constraints alone, and not at all on
+//! a group of one variable: its constraints `c·α ≤ b` each cap (`c > 0`) or
+//! floor (`c < 0`) `α` at `b/c`, so its region is the interval
+//! `[max(0, floors), min(1, caps)]` and its volume the interval's length (0
+//! when empty). That is the Lebesgue measure the oracle computes, in the
+//! same exact arithmetic, so every volume is the same rational; in Table 1
+//! every group has one variable.
 //!
 //! A fork past the path budget costs one history walk and no clone. The
 //! queue is FIFO and the budget cut fires on pop number `max_paths + 1`, so
@@ -161,12 +167,20 @@ impl SymValue {
                         .iter()
                         .map(|a| enclose(a, boxes))
                         .collect::<Result<Vec<_>, _>>()?;
-                    // `log` is the only partial primitive; past its domain
-                    // check, `prim_interval` fails only on an `f64` overflow.
-                    if matches!(p, Prim::Log) && !args[0].lo().is_positive() {
-                        return Err(NoEnclosure::Undefined);
+                    // `log` is the only partial primitive: undefined on the
+                    // whole box when its argument's upper end is `≤ 0`, maybe
+                    // defined on a smaller box when only the lower end is.
+                    // Past that, `prim_interval` fails only on an `f64`
+                    // overflow.
+                    if matches!(p, Prim::Log) {
+                        if !args[0].hi().is_positive() {
+                            return Err(NoEnclosure::Undefined);
+                        }
+                        if !args[0].lo().is_positive() {
+                            return Err(NoEnclosure::Unknown);
+                        }
                     }
-                    crate::iterm::prim_interval(*p, &args).ok_or(NoEnclosure::Unbounded)
+                    crate::iterm::prim_interval(*p, &args).ok_or(NoEnclosure::Unknown)
                 }
             }
         }
@@ -267,8 +281,17 @@ struct AffineForm {
 }
 
 impl AffineForm {
-    /// `self + other`; coefficients that cancel are dropped.
-    fn add(mut self, other: AffineForm) -> AffineForm {
+    /// `self + other`; coefficients that cancel are dropped. A side with no
+    /// terms only moves the constant, so the other side's terms are reused.
+    fn add(mut self, mut other: AffineForm) -> AffineForm {
+        if other.terms.is_empty() {
+            self.constant += other.constant;
+            return self;
+        }
+        if self.terms.is_empty() {
+            other.constant += self.constant;
+            return other;
+        }
         self.terms.extend(other.terms);
         self.terms.sort_by_key(|(i, _)| *i);
         let mut terms: Vec<(usize, Rational)> = Vec::with_capacity(self.terms.len());
@@ -282,22 +305,25 @@ impl AffineForm {
         AffineForm { terms, constant: self.constant + other.constant }
     }
 
-    /// `−self`.
-    fn neg(self) -> AffineForm {
-        AffineForm {
-            terms: self.terms.into_iter().map(|(i, c)| (i, -c)).collect(),
-            constant: -self.constant,
+    /// `−self`, in place.
+    fn neg(mut self) -> AffineForm {
+        for (_, c) in &mut self.terms {
+            *c = c.negated();
         }
+        self.constant = self.constant.negated();
+        self
     }
 
-    /// `factor · self`; scaling by zero leaves no terms.
-    fn scale(self, factor: &Rational) -> AffineForm {
-        let terms = if factor.is_zero() {
-            Vec::new()
-        } else {
-            self.terms.into_iter().map(|(i, c)| (i, c * factor)).collect()
-        };
-        AffineForm { terms, constant: &self.constant * factor }
+    /// `factor · self`, in place; scaling by zero leaves no terms.
+    fn scale(mut self, factor: &Rational) -> AffineForm {
+        if factor.is_zero() {
+            self.terms.clear();
+        }
+        for (_, c) in &mut self.terms {
+            *c = &*c * factor;
+        }
+        self.constant = &self.constant * factor;
+        self
     }
 
     /// The coefficients as a dense vector over `dimension` variables, `None`
@@ -308,6 +334,29 @@ impl AffineForm {
             *coeffs.get_mut(*i)? = c.clone();
         }
         Some(coeffs)
+    }
+}
+
+/// The length of `{α ∈ [0,1] | c·α ≤ b for every form}`, for forms over one
+/// and the same variable with `c ≠ 0`: the closed form of
+/// [`SymbolicPath::exact_probability`] for a one-variable group.
+fn interval_length(forms: &[&AffineForm]) -> Rational {
+    let (mut lo, mut hi) = (Rational::zero(), Rational::one());
+    for form in forms {
+        let [(_, c)] = form.terms.as_slice() else {
+            unreachable!("a one-variable group holds one term per form")
+        };
+        let edge = &form.constant / c;
+        if c.is_positive() {
+            hi = hi.min(edge);
+        } else {
+            lo = lo.max(edge);
+        }
+    }
+    if hi > lo {
+        hi - lo
+    } else {
+        Rational::zero()
     }
 }
 
@@ -324,11 +373,12 @@ pub enum ConstraintKind {
 
 /// Why a symbolic value has no interval enclosure over a box.
 enum NoEnclosure {
-    /// A partial primitive may be applied outside its domain somewhere in
-    /// the box, where the path gets stuck.
+    /// A partial primitive is applied outside its domain on the whole box,
+    /// where the path gets stuck.
     Undefined,
-    /// An enclosure endpoint overflows `f64`; a smaller box may have one.
-    Unbounded,
+    /// A smaller box may have an enclosure: a partial primitive leaves its
+    /// domain on part of the box only, or an endpoint overflows `f64`.
+    Unknown,
 }
 
 /// A symbolic (in)equality `V ⊲⊳ 0` collected along a path (App. B.5).
@@ -354,13 +404,15 @@ impl SymConstraint {
 
     /// Interval check over a box: `Some(true)` when the constraint certainly
     /// holds on the whole box, `Some(false)` when it certainly fails on the
-    /// whole box or a primitive may leave its domain there (so the box cannot
-    /// be counted), and `None` when undecided, which includes an enclosure
-    /// that overflows `f64`.
+    /// whole box or a primitive leaves its domain on the whole box, and
+    /// `None` when undecided. Undecided includes a primitive that leaves its
+    /// domain on part of the box only and an enclosure that overflows `f64`:
+    /// the sweep bisects such a box, and counts none of it until a smaller
+    /// box is decided.
     pub fn check_box(&self, boxes: &IntervalBox) -> Option<bool> {
         let Some(iv) = self.value.eval_interval(boxes) else {
             return match self.value.why_unenclosed(boxes) {
-                Some(NoEnclosure::Unbounded) => None,
+                Some(NoEnclosure::Unknown) => None,
                 _ => Some(false),
             };
         };
@@ -486,8 +538,12 @@ impl SymbolicPath {
     /// O(m + Σ size of the constraints) for `m` sample variables; the oracle
     /// is exponential in a group's dimension, which is why groups over more
     /// than 7 variables return `None` (the caller falls back to the sound
-    /// box sweep). Long paths whose constraints are all univariate — the
-    /// common case in Table 1 — call the oracle only on intervals.
+    /// box sweep). A group of one variable never reaches the oracle: its
+    /// constraints `c·α ≤ b` each cap (`c > 0`) or floor (`c < 0`) `α` at
+    /// `b/c`, so its region is `[max(0, floors), min(1, caps)]` and its
+    /// volume that interval's length, or 0 when it is empty — exactly the
+    /// rational the oracle would return. Paths whose constraints are all
+    /// univariate, every path of Table 1, build no polytope at all.
     pub fn exact_probability(&self) -> Option<Rational> {
         // The exact volume oracle is exponential in the dimension; beyond this
         // threshold the caller falls back to the (sound) box-splitting sweep.
@@ -546,18 +602,22 @@ impl SymbolicPath {
             if group.is_empty() {
                 continue;
             }
-            if size[root] > MAX_EXACT_DIMENSION {
-                return None;
-            }
-            let mut poly = UnitCubePolytope::new(size[root]);
-            for form in group {
-                let mut coeffs = vec![Rational::zero(); size[root]];
-                for (i, c) in &form.terms {
-                    coeffs[local[*i]] = c.clone();
+            let volume = match size[root] {
+                1 => interval_length(group),
+                d if d > MAX_EXACT_DIMENSION => return None,
+                d => {
+                    let mut poly = UnitCubePolytope::new(d);
+                    for form in group {
+                        let mut coeffs = vec![Rational::zero(); d];
+                        for (i, c) in &form.terms {
+                            coeffs[local[*i]] = c.clone();
+                        }
+                        poly.add(coeffs, form.constant.clone());
+                    }
+                    poly.probability()
                 }
-                poly.add(coeffs, form.constant.clone());
-            }
-            probability *= &poly.probability();
+            };
+            probability *= &volume;
             if probability.is_zero() {
                 return Some(probability);
             }
@@ -1070,9 +1130,16 @@ impl History {
 
     /// The branch decisions, oldest first.
     fn branches(&self) -> Vec<Branch> {
-        let mut branches: Vec<Branch> = self.iter().filter_map(|d| d.branch).collect();
-        branches.reverse();
+        let mut branches = Vec::new();
+        self.write_branches(&mut branches);
         branches
+    }
+
+    /// Overwrites `out` with the branch decisions, oldest first.
+    fn write_branches(&self, out: &mut Vec<Branch>) {
+        out.clear();
+        out.extend(self.iter().filter_map(|d| d.branch));
+        out.reverse();
     }
 
     /// The constraints, oldest first.
@@ -1220,6 +1287,7 @@ pub fn try_explore_seeded<'t, E>(
     // records that wait behind the queue.
     let mut pushed = queue.len();
     let mut overflow: Vec<FrontierPath> = Vec::new();
+    let mut fork_branches: Vec<Branch> = Vec::new();
     let mut processed = 0usize;
     let mut work = 0usize;
     let mut interruption: Option<E> = None;
@@ -1284,21 +1352,25 @@ pub fn try_explore_seeded<'t, E>(
                     path.samples += 1;
                     path.machine.resume_lit(v);
                 }
-                Event::PrimReady(p, args) => {
-                    // Constant-fold when every argument is a constant;
-                    // postpone the application otherwise.
-                    if args.iter().all(SymValue::is_constant) {
-                        let concrete: Option<Vec<Rational>> =
-                            args.iter().map(|v| v.eval(&[])).collect();
-                        match concrete.and_then(|c| p.eval(&c)) {
-                            Some(r) => path.machine.resume_lit(SymValue::Const(r)),
-                            None => {
-                                result.stuck += 1;
-                                break;
-                            }
+                Event::PrimReady(p, mut args) => {
+                    // Constant-fold in place when every argument is a
+                    // `Const` (a value with no sample variable always is
+                    // one); postpone the application otherwise. Every
+                    // primitive is unary or binary.
+                    let folded = match args.as_mut_slice() {
+                        [SymValue::Const(a)] => Some(p.eval(std::slice::from_ref(a))),
+                        [SymValue::Const(a), SymValue::Const(b)] => {
+                            Some(p.eval(&[std::mem::take(a), std::mem::take(b)]))
                         }
-                    } else {
-                        path.machine.resume_lit(SymValue::Prim(p, args));
+                        _ => None,
+                    };
+                    match folded {
+                        Some(Some(r)) => path.machine.resume_lit(SymValue::Const(r)),
+                        Some(None) => {
+                            result.stuck += 1;
+                            break;
+                        }
+                        None => path.machine.resume_lit(SymValue::Prim(p, args)),
                     }
                 }
                 Event::BranchReady(guard) => {
@@ -1326,15 +1398,18 @@ pub fn try_explore_seeded<'t, E>(
                         );
                     } else if pushed >= config.max_paths {
                         // Neither child is ever popped, so each becomes its
-                        // frontier record now: one history walk, no clone.
+                        // frontier record now: one history walk into a
+                        // reused buffer, one allocation per record, no clone.
                         // The profile still sees the fork and the two branch
                         // steps the children would have taken.
                         let steps = path.machine.steps() + 1;
-                        let mut branches = path.history.branches();
-                        branches.push(Branch::Then);
-                        overflow.push(FrontierPath { steps, branches: Arc::from(&branches[..]) });
-                        *branches.last_mut().expect("just pushed") = Branch::Else;
-                        overflow.push(FrontierPath { steps, branches: branches.into() });
+                        path.history.write_branches(&mut fork_branches);
+                        fork_branches.push(Branch::Then);
+                        let then_branches = Arc::from(&fork_branches[..]);
+                        *fork_branches.last_mut().expect("just pushed") = Branch::Else;
+                        let else_branches = Arc::from(&fork_branches[..]);
+                        overflow.push(FrontierPath { steps, branches: then_branches });
+                        overflow.push(FrontierPath { steps, branches: else_branches });
                         if let Some(cell) = &profile {
                             cell.count_steps(2);
                             cell.count_fork();
@@ -1924,9 +1999,19 @@ mod tests {
         }
         let mass: f64 = e.terminated.iter().map(|p| p.probability(3_000).to_f64()).sum();
         assert!(mass > 0.6 && mass <= 0.7098, "mass {mass}");
-        // A domain error still drops the box: log is undefined below α0 = 1/2.
+        // log is undefined below α0 = 1/2: a box undefined everywhere is
+        // dropped, one undefined on part of it is bisected, so the mass past
+        // 1/2, where the program terminates, is recovered.
         let log = explore_src("if log (sample - 1/2) <= 0 then 0 else 1", 100);
-        assert_eq!(log.terminated[0].constraints[0].check_box(&root), Some(false));
+        let log_guard = &log.terminated[0].constraints[0];
+        let lower = IntervalBox::new(vec![Interval::new(Rational::zero(), Rational::half())]);
+        let upper =
+            IntervalBox::new(vec![Interval::new(Rational::from_ratio(3, 4), Rational::one())]);
+        assert_eq!(log_guard.check_box(&root), None);
+        assert_eq!(log_guard.check_box(&lower), Some(false));
+        assert_eq!(log_guard.check_box(&upper), Some(true));
+        let mass: Rational = log.terminated.iter().map(|p| p.probability(3_000)).sum();
+        assert!(mass.to_f64() > 0.49 && mass <= Rational::half(), "mass {mass}");
     }
 
     #[test]
@@ -2106,6 +2191,83 @@ mod tests {
             }
         }
         assert!(zero >= 40 && positive >= 100, "weak mix: {zero} empty, {positive} nonempty");
+    }
+
+    #[test]
+    fn univariate_groups_in_closed_form_equal_the_dense_polytope() {
+        // Paths whose one-variable components take the closed form, beside
+        // multi-variable components that keep the oracle and constant
+        // constraints: the volume must equal the dense polytope's, exactly.
+        // Each one-variable constraint puts its edge at a threshold below 0,
+        // inside [0,1] or above 1, with either coefficient sign, so its
+        // interval is often clipped, sometimes empty and sometimes a point.
+        let thresholds = [(-1, 2), (0, 1), (1, 4), (1, 3), (1, 2), (2, 3), (1, 1), (3, 2)];
+        let mut rng = Rng(0x1_7a1d_f0e5);
+        let (mut zero, mut positive, mut points, mut mixed) = (0, 0, 0, 0);
+        for case in 0..300 {
+            let n = 1 + rng.below(5);
+            // 0: a one-variable component, 1: the multi-variable one, 2: free.
+            let role: Vec<usize> = (0..n).map(|_| rng.below(3)).collect();
+            let mut constraints = Vec::new();
+            let mut singles = Vec::new();
+            for i in (0..n).filter(|i| role[*i] == 0) {
+                let mut own = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    let (p, q) = thresholds[rng.below(thresholds.len())];
+                    let mut at = vec![Rational::zero(); n];
+                    at[i] = Rational::from_ratio(p, q);
+                    let value = random_affine(&mut rng, &[i], i);
+                    let edge = value.eval(&at).expect("affine values are total");
+                    let value = prim(Prim::Sub, vec![value, constant(edge)]);
+                    own.push(SymConstraint { value, kind: random_kind(&mut rng) });
+                }
+                if rng.below(6) == 0 {
+                    // αᵢ ≤ t and αᵢ ≥ t: a single point, of length 0.
+                    let t = Rational::from_ratio(1 + rng.below(3) as i64, 4);
+                    let value = prim(Prim::Sub, vec![SymValue::Var(i), constant(t)]);
+                    for kind in [ConstraintKind::NonPositive, ConstraintKind::NonNegative] {
+                        own.push(SymConstraint { value: value.clone(), kind });
+                    }
+                    points += 1;
+                }
+                singles.push(own.clone());
+                constraints.extend(own);
+            }
+            let group: Vec<usize> = (0..n).filter(|i| role[*i] == 1).collect();
+            if group.len() >= 2 {
+                let point: Vec<Rational> =
+                    (0..n).map(|_| Rational::from_ratio(1 + rng.below(3) as i64, 4)).collect();
+                for _ in 0..1 + rng.below(3) {
+                    let value = random_affine(&mut rng, &group, group[0]);
+                    let at_point = value.eval(&point).expect("affine values are total");
+                    let value = prim(Prim::Sub, vec![value, constant(at_point)]);
+                    constraints.push(SymConstraint { value, kind: random_kind(&mut rng) });
+                }
+                mixed += usize::from(!singles.is_empty());
+            }
+            if case % 10 == 0 {
+                // A constraint with no variable left, violated half the time.
+                let bound = constant(Rational::from_int(rng.below(2) as i64 * 2 - 1));
+                constraints.push(SymConstraint { value: bound, kind: ConstraintKind::NonPositive });
+            }
+            let path = path_over(n, constraints);
+            let dense = path.to_polytope().expect("affine").probability();
+            assert_eq!(path.exact_probability(), Some(dense), "case {case}: {path:?}");
+            // A one-variable component's length, from the dense oracle: the
+            // other variables are unconstrained there.
+            for own in singles {
+                let length = path_over(n, own).to_polytope().expect("affine").probability();
+                if length.is_zero() {
+                    zero += 1;
+                } else {
+                    positive += 1;
+                }
+            }
+        }
+        assert!(
+            zero >= 100 && positive >= 80 && points >= 20 && mixed >= 30,
+            "weak mix: {zero} empty, {positive} nonempty, {points} points, {mixed} mixed"
+        );
     }
 
     #[test]

@@ -2527,7 +2527,7 @@ mod tests {
         let s = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
         // geo with a non-affine guard: its path tree is a single chain, so
         // its frontier stays tiny, but every path is measured by the box
-        // sweep over ever more dimensions. Depth 1600 takes about 2.5 s in a
+        // sweep over ever more dimensions. Depth 1600 takes about 2 s in a
         // release build, so the first run truncates with a checkpoint.
         let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
         let reply = s
@@ -3136,7 +3136,7 @@ mod tests {
 
     #[test]
     fn streamed_lower_emits_monotone_progress_frames() {
-        // geo(1/2) at depth 1200 takes about 50 ms in a release build, so it
+        // geo(1/2) at depth 1200 takes about 40 ms in a release build, so it
         // spans several frame intervals; depth 1200 is above the default cap.
         let s = Server::new(ServerConfig { workers: 1, max_depth: 1200, ..Default::default() });
         let frames = std::cell::RefCell::new(Vec::<Value>::new());

@@ -65,7 +65,7 @@ fn program(k: usize) -> String {
 
 const GEO: &str = "(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0";
 /// geo with a non-affine guard: every path is measured by the box sweep, so
-/// depth 1600 takes about 2.5 s even in a release build.
+/// depth 1600 takes about 2 s even in a release build.
 const SLOW_GEO: &str = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
 
 /// Panics and slowdowns hit exactly the scheduled engine runs; every client
@@ -185,7 +185,7 @@ fn saturated_admission_queue_sheds_with_retry_after() {
     });
     let running = server.spawn_tcp("127.0.0.1:0").expect("bind loopback");
 
-    // Pin the single worker: a deadline-bounded run that takes about 2.5 s
+    // Pin the single worker: a deadline-bounded run that takes about 2 s
     // in a release build keeps the engine busy for the whole deadline.
     let mut pinner = Client::connect(running.addr);
     pinner.send(&format!(

@@ -247,7 +247,7 @@ fn checkpointed_partial_survives_a_graceful_restart_and_resumes() {
         ..Default::default()
     };
     // geo with a non-affine guard: a single chain of paths, each measured by
-    // the box sweep; depth 1600 takes about 2.5 s in a release build, so both
+    // the box sweep; depth 1600 takes about 2 s in a release build, so both
     // runs below truncate.
     let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
     let request = |id: u32, deadline_ms: u32| {

@@ -70,7 +70,7 @@ fn resumed_retries_tighten_bounds_monotonically() {
     // Above the default depth cap of 400.
     let server = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
     // A single chain of paths, each measured by the box sweep: depth 1600
-    // takes about 2.5 s in a release build, far beyond the first deadline.
+    // takes about 2 s in a release build, far beyond the first deadline.
     let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
     let first = handle_line(
         server.state(),

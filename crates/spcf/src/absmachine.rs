@@ -42,6 +42,16 @@
 //! so the machine's [`steps`](Machine::steps) equals the substitution-based
 //! reference count `#s↓(M)` for every domain.
 //!
+//! # Environments
+//!
+//! An environment is a cons-list of binding frames shared through `Rc`. β
+//! pushes one frame binding the λ's variable. Unrolling `fix φ x. M` also
+//! pushes *one* frame, which binds two names: `x` to the argument, and `φ` to
+//! the `fix` closure over the frame's tail — the environment the closure
+//! itself captured — rebuilt on lookup rather than stored. `x` is matched
+//! first, so it shadows `φ` when both are named alike, as in the reference's
+//! `M[x := N][φ := fix φ x. M]`, and readback substitutes `x` and then `φ`.
+//!
 //! # Fuel
 //!
 //! [`Machine::next_event`] refuses to run past `max_steps` counted steps and
@@ -148,42 +158,50 @@ impl<'a, L: Clone, A: Clone> Value<'a, L, A> {
 /// costs O(1) and closures alias their defining environment.
 pub type Env<'a, L, A> = Option<Rc<EnvNode<'a, L, A>>>;
 
-/// One binding frame of an environment chain.
+/// One binding frame of an environment chain: `name` bound to `binding`,
+/// and, for a frame made by unrolling a `fix` (see the module docs), that
+/// `Term::Fix` node, whose `φ` is bound to the `fix` closure over `next`.
 pub struct EnvNode<'a, L: Clone, A: Clone> {
     name: Ident,
     binding: Binding<'a, L, A>,
+    fix: Option<&'a Term>,
     next: Env<'a, L, A>,
 }
 
 impl<L: Clone, A: Clone> Drop for EnvNode<'_, L, A> {
     /// Environment chains grow linearly with the recursion depth of a run,
     /// and they nest not only through `next` but also through *bindings*:
-    /// each recursive unfolding stores the previous environment inside the
-    /// `φ` closure. The default recursive drop glue would overflow the stack
+    /// a thunk or closure argument holds the environment it was made in,
+    /// often the previous unrolling's. The default recursive drop glue would overflow the stack
     /// tearing down a long truncated run, so unlink with an explicit worklist
     /// that harvests every environment handle a node owns.
+    ///
+    /// Only a handle this node owns alone goes on the worklist: dropping a
+    /// shared one just decrements its count, so the common drop of a node
+    /// whose chain another path still holds allocates nothing.
     fn drop(&mut self) {
         fn harvest<'a, L: Clone, A: Clone>(
-            binding: &mut Binding<'a, L, A>,
+            node: &mut EnvNode<'a, L, A>,
             work: &mut Vec<Rc<EnvNode<'a, L, A>>>,
         ) {
-            let env = match binding {
+            let env = match &mut node.binding {
                 Binding::Thunk { env, .. } => env.take(),
                 Binding::Val(Value::Closure { env, .. }) => env.take(),
                 Binding::Val(_) => None,
             };
-            work.extend(env);
+            // A shared handle is kept alive by someone else: dropping it
+            // here cannot reach its node's own drop.
+            let owned = |handle: &Rc<EnvNode<'a, L, A>>| Rc::strong_count(handle) == 1;
+            work.extend(env.filter(owned));
+            work.extend(node.next.take().filter(owned));
         }
         let mut work: Vec<Rc<EnvNode<'_, L, A>>> = Vec::new();
-        harvest(&mut self.binding, &mut work);
-        work.extend(self.next.take());
+        harvest(self, &mut work);
         while let Some(handle) = work.pop() {
             // Sole owner: strip the node's env handles onto the worklist; its
-            // own drop then has nothing left to recurse into. A shared handle
-            // is kept alive by someone else — leave it alone.
+            // own drop then has nothing left to recurse into.
             if let Ok(mut node) = Rc::try_unwrap(handle) {
-                harvest(&mut node.binding, &mut work);
-                work.extend(node.next.take());
+                harvest(&mut node, &mut work);
             }
         }
     }
@@ -203,7 +221,7 @@ fn bind<'a, L: Clone, A: Clone>(
     name: &Ident,
     binding: Binding<'a, L, A>,
 ) -> Env<'a, L, A> {
-    Some(Rc::new(EnvNode { name: name.clone(), binding, next: env.clone() }))
+    Some(Rc::new(EnvNode { name: name.clone(), binding, fix: None, next: env.clone() }))
 }
 
 fn lookup<'a, L: Clone, A: Clone>(
@@ -214,6 +232,11 @@ fn lookup<'a, L: Clone, A: Clone>(
     while let Some(node) = current {
         if node.name == *name {
             return Some(node.binding.clone());
+        }
+        if let Some(fun @ Term::Fix(phi, _, _)) = node.fix {
+            if phi == name {
+                return Some(Binding::Val(Value::Closure { fun, env: node.next.clone() }));
+            }
         }
         current = &node.next;
     }
@@ -643,13 +666,16 @@ impl<'a, L: Clone, A: Clone> Machine<'a, L, A> {
                 self.control = Some(Control::Eval { term: &**body, env });
                 None
             }
-            Value::Closure { fun: fix @ Term::Fix(phi, x, body), env } => {
+            Value::Closure { fun: fix @ Term::Fix(_, x, body), env } => {
                 self.count_step(); // counted: fix unrolling
-                // Mirrors `body.subst(x, arg).subst(phi, fix)`: the inner
-                // substitution (x) shadows the outer one (φ) on name clashes.
-                let recursive = Value::Closure { fun: fix, env: env.clone() };
-                let env = bind(&env, phi, Binding::Val(recursive));
-                let env = bind(&env, x, argument);
+                // Mirrors `body.subst(x, arg).subst(phi, fix)` in one frame
+                // (see `EnvNode`): x shadows φ on name clashes.
+                let env = Some(Rc::new(EnvNode {
+                    name: x.clone(),
+                    binding: argument,
+                    fix: Some(fix),
+                    next: env,
+                }));
                 self.control = Some(Control::Eval { term: &**body, env });
                 None
             }
@@ -712,13 +738,15 @@ impl<'a, L: Clone, A: Clone> Machine<'a, L, A> {
 
 /// Reads machine structures back into source terms.
 ///
-/// The replacement term of every environment node is computed once (the memo
-/// is keyed by the node's address, which is stable because nodes live behind
-/// `Rc`), and the dependency walk over the environment DAG is iterative — a
-/// call-by-name run that suspends thunk-inside-thunk chains thousands deep
-/// (e.g. a truncated `fix phi x. phi x` run) must not overflow the stack.
+/// The replacement terms of every environment node are computed once (the
+/// memo is keyed by the node's address, which is stable because nodes live
+/// behind `Rc`), and the dependency walk over the environment DAG is
+/// iterative — a call-by-name run that suspends thunk-inside-thunk chains
+/// thousands deep (e.g. a truncated `fix phi x. phi x` run) must not overflow
+/// the stack. A fix-unrolling node has two: its argument's, and the `fix`
+/// closure's over the node's `next`, substituted for `φ` right after `x`.
 struct Readback<L, A> {
-    memo: HashMap<*const (), Term>,
+    memo: HashMap<*const (), (Term, Option<Term>)>,
     term_of_lit: fn(&L) -> Term,
     term_of_atom: fn(&A) -> Term,
 }
@@ -750,8 +778,11 @@ impl<L: Clone, A: Clone> Readback<L, A> {
         let mut result = term.clone();
         let mut current = env;
         while let Some(node) = current {
-            let replacement = &self.memo[&node_key(node)];
+            let (replacement, recursive) = &self.memo[&node_key(node)];
             result = result.subst(&node.name, replacement);
+            if let (Some(Term::Fix(phi, _, _)), Some(recursive)) = (node.fix, recursive) {
+                result = result.subst(phi, recursive);
+            }
             current = &node.next;
         }
         result
@@ -770,11 +801,12 @@ impl<L: Clone, A: Clone> Readback<L, A> {
             if self.memo.contains_key(&node_key(node)) {
                 continue;
             }
-            let dependency_env = match &node.binding {
+            let binding_env = match &node.binding {
                 Binding::Thunk { env, .. } => env,
                 Binding::Val(Value::Closure { env, .. }) => env,
                 Binding::Val(_) => &None,
             };
+            let fix_env = if node.fix.is_some() { &node.next } else { &None };
             if dependencies_ready {
                 let replacement = match &node.binding {
                     Binding::Thunk { term, env } => self.apply(term, env),
@@ -782,15 +814,18 @@ impl<L: Clone, A: Clone> Readback<L, A> {
                     Binding::Val(Value::Closure { fun, env }) => self.apply(fun, env),
                     Binding::Val(Value::Atom(a)) => (self.term_of_atom)(a),
                 };
-                self.memo.insert(node_key(node), replacement);
+                let recursive = node.fix.map(|fix| self.apply(fix, &node.next));
+                self.memo.insert(node_key(node), (replacement, recursive));
             } else {
                 work.push((node, true));
-                let mut current = dependency_env;
-                while let Some(dependency) = current {
-                    if !self.memo.contains_key(&node_key(dependency)) {
-                        work.push((dependency, false));
+                for dependency_env in [binding_env, fix_env] {
+                    let mut current = dependency_env;
+                    while let Some(dependency) = current {
+                        if !self.memo.contains_key(&node_key(dependency)) {
+                            work.push((dependency, false));
+                        }
+                        current = &dependency.next;
                     }
-                    current = &dependency.next;
                 }
             }
         }

@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn deep_divergent_runs_tear_down_without_overflowing_the_stack() {
-        // `(fix phi x. phi x) 0` nests environments through the φ closure
+        // `(fix phi x. phi x) 0` nests environments through the argument's
         // *binding* (not the `next` pointer), so this is the regression test
         // for the worklist in the generic `EnvNode::drop`: tearing down the
         // state of a few-hundred-thousand-step truncated run must not recurse.

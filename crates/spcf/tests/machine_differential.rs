@@ -79,3 +79,49 @@ proptest! {
         }
     }
 }
+
+/// Terms whose `fix` frames bind two names that meet: an argument named like
+/// its `φ` (which the argument shadows), nested `fix`es whose bodies call an
+/// outer `φ` or reuse its name, and a `φ` passed on as a value.
+fn fix_frames() -> Vec<Term> {
+    [
+        "(fix f f. if sample <= 1/2 then f else f (f + 1)) 0",
+        "(fix f f. if f <= 2 then f + 1 else 0) 3",
+        "(fix phi x. if sample <= 1/2 then x else \
+         (fix psi y. if sample <= 1/2 then phi y else psi (y + 1)) (x + 1)) 0",
+        "(fix phi x. (fix phi y. if sample <= 1/2 then y else phi (y + 1)) (x + 1)) 0",
+        "(fix phi x. if sample <= 1/3 then x else \
+         phi ((fix phi phi. if phi <= 0 then phi else phi - 1) x + 2)) 1",
+        "(fix phi x. if sample <= 1/2 then x else \
+         (fix psi g. if sample <= 1/2 then g (x + 1) else psi g) phi) 0",
+    ]
+    .iter()
+    .map(|src| probterm_spcf::parse_term(src).expect("fix-frame terms parse"))
+    .collect()
+}
+
+/// Machine ≡ reference on the fix-frame terms, both strategies, at every
+/// budget up to 100 steps under three traces: the residual of a run cut
+/// short reads back both names of every `fix` frame it holds.
+#[test]
+fn fix_frames_match_reference_at_every_budget() {
+    let traces: [Vec<(i64, i64)>; 3] = [
+        vec![(1, 4); 40],
+        vec![(3, 4); 40],
+        (0..40).map(|i| if i % 3 == 0 { (1, 5) } else { (9, 10) }).collect(),
+    ];
+    for (index, term) in fix_frames().iter().enumerate() {
+        for ratios in &traces {
+            for budget in 0..=100 {
+                for strategy in [Strategy::CallByName, Strategy::CallByValue] {
+                    let (machine, reference) = run_both(strategy, term, ratios, budget);
+                    assert_eq!(
+                        machine, reference,
+                        "{strategy:?} diverged on fix-frame term #{index} at budget {budget} \
+                         trace {ratios:?}"
+                    );
+                }
+            }
+        }
+    }
+}

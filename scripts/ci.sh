@@ -302,16 +302,17 @@ if [ -x target/release/probterm ]; then
         esac
     }
     geo='(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0'
-    # geo with a non-affine guard: each path needs the box sweep, so depth 250
-    # takes about 0.2 s, three times run 2's deadline.
+    # geo with a non-affine guard: each path needs the box sweep, so depth
+    # 400 (the service's default depth cap) takes about 0.45-0.48 s in
+    # release, over ten times run 2's 40 ms deadline and well inside run 3's.
     slow_geo='(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0'
     # Engine run 1: a plain complete lower.
     chaos_request '{"id":1,"op":"lower","program":"'"$geo"'","depth":25}' '"ok":true'
     # Engine run 2: deadline-cut partial that must embed a resume checkpoint.
-    chaos_request '{"id":2,"op":"lower","program":"'"$slow_geo"'","depth":250,"deadline_ms":60}' '"checkpoint"'
+    chaos_request '{"id":2,"op":"lower","program":"'"$slow_geo"'","depth":400,"deadline_ms":40}' '"checkpoint"'
     # Engine run 3: a much richer retry resumes the checkpoint instead of
     # recomputing from scratch, and completes.
-    chaos_request '{"id":3,"op":"lower","program":"'"$slow_geo"'","depth":250,"deadline_ms":10000}' '"resumed":true'
+    chaos_request '{"id":3,"op":"lower","program":"'"$slow_geo"'","depth":400,"deadline_ms":10000}' '"resumed":true'
     # Engine run 4: the injected panic (panic=@4) surfaces as a structured
     # internal error, not a dead worker or a dropped line.
     chaos_request '{"id":4,"op":"verify","program":"(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1"}' '"code":"internal"'
