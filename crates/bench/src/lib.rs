@@ -121,9 +121,10 @@ pub fn table2() -> Vec<Table2Row> {
 /// current directory, alongside the benchmark's own `BENCH_*.json` report.
 ///
 /// Each record is one JSONL line `{"ts": <unix seconds>, "git_rev":
-/// "<short rev or unknown>", "bench": "<name>", "metrics": <metrics>}`, so
-/// successive runs accumulate a perf trajectory across revisions that
-/// `BENCH_*.json` (which is overwritten per run) cannot show.
+/// "<short rev, -dirty when uncommitted, or unknown>", "bench": "<name>",
+/// "metrics": <metrics>}`, so successive runs accumulate a perf trajectory
+/// across revisions that `BENCH_*.json` (which is overwritten per run)
+/// cannot show.
 pub fn append_history(bench: &str, metrics: &Value) {
     append_history_to(std::path::Path::new("BENCH_history.jsonl"), bench, metrics);
 }
@@ -154,16 +155,32 @@ fn unix_seconds() -> u128 {
         .unwrap_or(0)
 }
 
+/// The checkout's revision, spelled like `git describe --always --dirty`.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    revision_stamp(
+        git(&["rev-parse", "--short", "HEAD"]).as_deref(),
+        git(&["status", "--porcelain", "--untracked-files=no"]).as_deref(),
+    )
+}
+
+/// A history record's revision: the short commit `rev`, with `-dirty` when
+/// `status` (`git status --porcelain` without untracked files) lists a
+/// change, so that a run on uncommitted changes is not filed under the
+/// commit they sit on; `unknown` without a revision.
+fn revision_stamp(rev: Option<&str>, status: Option<&str>) -> String {
+    match rev.map(str::trim).filter(|r| !r.is_empty()) {
+        None => "unknown".to_string(),
+        Some(rev) if status.is_some_and(|s| !s.trim().is_empty()) => format!("{rev}-dirty"),
+        Some(rev) => rev.to_string(),
+    }
 }
 
 /// Renders Table 1 rows as an aligned text table.
@@ -260,6 +277,18 @@ mod tests {
             Some(5)
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn revisions_of_uncommitted_trees_are_marked_dirty() {
+        assert_eq!(revision_stamp(Some("c873b83\n"), Some("")), "c873b83");
+        assert_eq!(
+            revision_stamp(Some("c873b83\n"), Some(" M crates/bench/src/lib.rs\n")),
+            "c873b83-dirty"
+        );
+        assert_eq!(revision_stamp(Some("c873b83"), None), "c873b83");
+        assert_eq!(revision_stamp(None, Some(" M a.rs\n")), "unknown");
+        assert_eq!(revision_stamp(Some("  "), Some("")), "unknown");
     }
 
     #[test]

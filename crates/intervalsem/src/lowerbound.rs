@@ -380,6 +380,24 @@ mod tests {
     }
 
     #[test]
+    fn log_guards_near_one_stay_below_the_termination_probability() {
+        // With ε = 3/2⁵³ and c = 3.5/2⁵³, log(1 + ε + α·ε) ≈ ε·(1 + α) is
+        // ≤ c exactly when α ≤ 1/6, so the program terminates with
+        // probability 5/6. Rounding 1 + ε to the nearest float (1 + 4/2⁵³)
+        // put the whole guard above c and the bound at 1.
+        let src = "if log (1 + 3/9007199254740992 + sample * (3/9007199254740992)) \
+                   <= 7/18014398509481984 then (fix f x. f x) 0 else 0";
+        for depth in [10, 20, 50] {
+            let r = lb(src, depth);
+            assert!(
+                r.probability <= Rational::from_ratio(5, 6),
+                "depth {depth}: bound {} is above Pterm = 5/6",
+                r.probability
+            );
+        }
+    }
+
+    #[test]
     fn nonaffine_printer_quarter_converges_to_one_third() {
         // Ex. 1.1 (2) with p = 1/4 has Pterm = 1/3 (CbN and CbV agree for this term).
         let b = catalog::printer_nonaffine(Rational::from_ratio(1, 4));

@@ -82,6 +82,30 @@
 //! becomes a [`Rational`] once, at the end, equal to the sum of the
 //! accepted boxes' exact volumes.
 //!
+//! Each check is decided in `f64` whenever that gives the exact verdict,
+//! which on polynomial guards is almost always. The exact enclosure
+//! [`SymValue::eval_interval`] is an interval `[L, H]` of rationals, and the
+//! verdict depends only on the signs of `L` and `H` (for `V ≤ 0`: true when
+//! `H ≤ 0`, false when `L > 0`). The float evaluation follows the same
+//! interval operations with [`EndpointBrackets`]: two floats around each
+//! exact endpoint, `L ∈ [lo↓, lo↑]` and `H ∈ [hi↓, hi↑]`, each rounded
+//! result moved one ulp outward only when an error-free transform shows it
+//! was inexact. So `hi↑ ≤ 0` proves `H ≤ 0`, `lo↓ > 0` proves `L > 0`, and
+//! `lo↑ ≤ 0 < hi↓` proves the box undecided; a verdict the brackets give is
+//! the exact verdict. The exact evaluation runs only when a bracket
+//! straddles 0 where the verdict needs a sign, or when floats cannot follow
+//! the value: at `exp`, `log` and `sig`, at a big rational, or at an
+//! underflow or overflow.
+//!
+//! The boxes themselves are kept as `f64` endpoints, which are exact: from
+//! `[0,1]`, every endpoint after `t` bisections of a dimension is a multiple
+//! of `2⁻ᵗ`, a float while `t ≤ 53`. A bisection whose midpoint is not a
+//! float would round it onto an endpoint, so from that bisection on the box
+//! keeps rational endpoints, and its checks convert them to brackets as any
+//! caller of [`SymConstraint::check_box`] does. A float box is turned into an
+//! [`IntervalBox`] only when an exact check needs it or when it is accepted
+//! and handed to `inside`.
+//!
 //! # Interruption
 //!
 //! [`try_explore_seeded`] threads one poll hook through the exploration loop,
@@ -91,7 +115,7 @@
 //! Theorem 3.4.
 
 use crate::lowerbound::Poll;
-use probterm_numerics::{Interval, IntervalBox, Rational};
+use probterm_numerics::{EndpointBrackets, Interval, IntervalBox, Rational};
 use probterm_polytope::UnitCubePolytope;
 use probterm_spcf::absmachine::{DomainSpec, Event, Machine, NoAtom};
 use probterm_spcf::{Ident, Prim, Strategy, Term};
@@ -146,6 +170,34 @@ impl SymValue {
                     &[a.eval_interval(boxes)?, b.eval_interval(boxes)?],
                 ),
                 _ => panic!("arity mismatch for {p:?}"),
+            },
+        }
+    }
+
+    /// Float brackets of the endpoints of
+    /// [`eval_interval`](SymValue::eval_interval)'s enclosure, with `var`
+    /// bracketing each variable's interval. `None` when floats cannot follow
+    /// the exact evaluation: at `exp`, `log` and `sig`, at a constant or an
+    /// endpoint stored as a big rational, at a product that underflows and
+    /// at a value that is not finite. On the other primitives the exact
+    /// evaluation never fails, so a float answer implies an exact one.
+    fn enclose_f64(
+        &self,
+        var: &impl Fn(usize) -> Option<EndpointBrackets>,
+    ) -> Option<EndpointBrackets> {
+        match self {
+            SymValue::Const(r) => EndpointBrackets::point(r),
+            SymValue::Var(i) => var(*i),
+            SymValue::Prim(p, args) => match (p, args.as_slice()) {
+                (Prim::Add, [a, b]) => a.enclose_f64(var)?.add(&b.enclose_f64(var)?),
+                (Prim::Sub, [a, b]) => a.enclose_f64(var)?.sub(&b.enclose_f64(var)?),
+                (Prim::Mul, [a, b]) => a.enclose_f64(var)?.mul(&b.enclose_f64(var)?),
+                (Prim::Min, [a, b]) => Some(a.enclose_f64(var)?.min(&b.enclose_f64(var)?)),
+                (Prim::Max, [a, b]) => Some(a.enclose_f64(var)?.max(&b.enclose_f64(var)?)),
+                (Prim::Neg, [a]) => Some(a.enclose_f64(var)?.neg()),
+                (Prim::Abs, [a]) => a.enclose_f64(var)?.abs(),
+                (Prim::Floor, [a]) => Some(a.enclose_f64(var)?.floor()),
+                _ => None,
             },
         }
     }
@@ -409,7 +461,74 @@ impl SymConstraint {
     /// domain on part of the box only and an enclosure that overflows `f64`:
     /// the sweep bisects such a box, and counts none of it until a smaller
     /// box is decided.
+    ///
+    /// The verdict is that of the exact enclosure
+    /// [`SymValue::eval_interval`], but it is first read off float brackets
+    /// of that enclosure's endpoints, which decide almost every box without
+    /// rational arithmetic. Only when the brackets do not place an endpoint
+    /// the verdict depends on (or floats cannot follow the value, as at
+    /// `exp`, `log` and `sig`) does the exact evaluation run.
     pub fn check_box(&self, boxes: &IntervalBox) -> Option<bool> {
+        let var = |i: usize| boxes.intervals().get(i).and_then(EndpointBrackets::of);
+        match self.float_verdict(&var) {
+            Some(verdict) => verdict,
+            None => self.exact_verdict(boxes),
+        }
+    }
+
+    /// [`check_box`](SymConstraint::check_box)'s verdict read off float
+    /// brackets of the exact enclosure `[L, H]`, with `var` bracketing each
+    /// variable's interval; `None` when the brackets do not decide it.
+    ///
+    /// The verdict depends only on the signs of `L` and `H` (for `≤ 0`: true
+    /// when `H ≤ 0`, false when `L > 0`). A bracket `[a, b]` of an endpoint
+    /// with `a > 0` proves it positive and one with `b ≤ 0` proves it not,
+    /// so whenever the brackets settle the signs the verdict needs, it is
+    /// the exact verdict.
+    fn float_verdict(
+        &self,
+        var: &impl Fn(usize) -> Option<EndpointBrackets>,
+    ) -> Option<Option<bool>> {
+        let value = self.value.enclose_f64(var)?;
+        let (lo, hi) = (value.lo(), value.hi());
+        // Whether the endpoint bracketed by `[a, b]` is `> 0` (`< 0`), when
+        // the bracket tells.
+        let positive = |[a, b]: [f64; 2]| (a > 0.0 || b <= 0.0).then_some(a > 0.0);
+        let negative = |[a, b]: [f64; 2]| (b < 0.0 || a >= 0.0).then_some(b < 0.0);
+        Some(match self.kind {
+            ConstraintKind::NonPositive => {
+                if !positive(hi)? {
+                    Some(true)
+                } else if positive(lo)? {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+            ConstraintKind::Positive => {
+                if positive(lo)? {
+                    Some(true)
+                } else if !positive(hi)? {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+            ConstraintKind::NonNegative => {
+                if !negative(lo)? {
+                    Some(true)
+                } else if negative(hi)? {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+        })
+    }
+
+    /// [`check_box`](SymConstraint::check_box)'s verdict from the exact
+    /// enclosure alone.
+    fn exact_verdict(&self, boxes: &IntervalBox) -> Option<bool> {
         let Some(iv) = self.value.eval_interval(boxes) else {
             return match self.value.why_unenclosed(boxes) {
                 Some(NoEnclosure::Unknown) => None,
@@ -665,10 +784,24 @@ impl SymbolicPath {
         /// A queued box, the number of bisections that made it, and the
         /// constraints (ascending indices) undecided on its parent.
         struct Pending {
-            cube: IntervalBox,
+            cube: Cube,
             depth: usize,
             undecided: Rc<[usize]>,
         }
+        /// A box with float endpoints while every bisection that made it had
+        /// a float midpoint, so that they are its exact endpoints; with
+        /// rational endpoints from the first bisection that had not.
+        enum Cube {
+            Float(Vec<[f64; 2]>),
+            Exact(IntervalBox),
+        }
+        let exact_box = |ends: &[[f64; 2]]| -> IntervalBox {
+            ends.iter()
+                .map(|&[lo, hi]| {
+                    Interval::new(Rational::from_f64_exact(lo), Rational::from_f64_exact(hi))
+                })
+                .collect()
+        };
         let n = self.sample_count;
         // The dimension bisected at depth `t`: `bisect_widest` on a box of
         // `[0,1]ⁿ` bisected `t` times, since ties go to the last dimension.
@@ -688,12 +821,12 @@ impl SymbolicPath {
         let mut interruption = None;
         let mut still: Vec<usize> = Vec::new();
         let mut queue: VecDeque<Pending> = VecDeque::from([Pending {
-            cube: IntervalBox::unit(n),
+            cube: Cube::Float(vec![[0.0, 1.0]; n]),
             depth: 0,
             undecided: all.as_slice().into(),
         }]);
         let mut processed = 0usize;
-        while let Some(Pending { mut cube, depth, undecided }) = queue.pop_front() {
+        while let Some(Pending { cube, depth, undecided }) = queue.pop_front() {
             processed += 1;
             if processed > max_boxes {
                 break;
@@ -709,12 +842,27 @@ impl SymbolicPath {
             let mut touched = if depth == 0 { &all } else { &touching[split_dim(depth - 1)] }
                 .iter()
                 .peekable();
+            // A float box's rational form, built when first needed: for an
+            // exact check the brackets leave open, or to report the box.
+            let mut exact: Option<IntervalBox> = None;
             still.clear();
             let mut outside = false;
             for &k in undecided.iter() {
                 while touched.next_if(|&&j| j < k).is_some() {}
                 if touched.next_if_eq(&&k).is_some() {
-                    match self.constraints[k].check_box(&cube) {
+                    let c = &self.constraints[k];
+                    let verdict = match &cube {
+                        Cube::Float(ends) => {
+                            let var = |i: usize| {
+                                ends.get(i).and_then(|&[lo, hi]| EndpointBrackets::exact(lo, hi))
+                            };
+                            c.float_verdict(&var).unwrap_or_else(|| {
+                                c.exact_verdict(exact.get_or_insert_with(|| exact_box(ends)))
+                            })
+                        }
+                        Cube::Exact(cube) => c.check_box(cube),
+                    };
+                    match verdict {
                         Some(false) => {
                             outside = true;
                             break;
@@ -733,7 +881,10 @@ impl SymbolicPath {
                     accepted.resize(depth + 1, 0);
                 }
                 accepted[depth] += 1;
-                inside(&cube);
+                match &cube {
+                    Cube::Float(ends) => inside(exact.get_or_insert_with(|| exact_box(ends))),
+                    Cube::Exact(cube) => inside(cube),
+                }
                 continue;
             }
             if n == 0 {
@@ -742,8 +893,32 @@ impl SymbolicPath {
             }
             let undecided =
                 if still.len() == undecided.len() { undecided } else { still.as_slice().into() };
-            let upper = cube.bisect_dim(split_dim(depth));
-            queue.push_back(Pending { cube, depth: depth + 1, undecided: undecided.clone() });
+            let dim = split_dim(depth);
+            let (lower, upper) = match cube {
+                Cube::Float(mut ends) => {
+                    let [lo, hi] = ends[dim];
+                    // The endpoints are adjacent multiples of some 2⁻ᵗ, so
+                    // their midpoint is a float exactly when it rounds
+                    // strictly between them, and then the sum and the
+                    // halving were exact.
+                    let mid = (lo + hi) * 0.5;
+                    if lo < mid && mid < hi {
+                        let mut upper = ends.clone();
+                        ends[dim][1] = mid;
+                        upper[dim][0] = mid;
+                        (Cube::Float(ends), Cube::Float(upper))
+                    } else {
+                        let mut lower = exact.unwrap_or_else(|| exact_box(&ends));
+                        let upper = lower.bisect_dim(dim);
+                        (Cube::Exact(lower), Cube::Exact(upper))
+                    }
+                }
+                Cube::Exact(mut lower) => {
+                    let upper = lower.bisect_dim(dim);
+                    (Cube::Exact(lower), Cube::Exact(upper))
+                }
+            };
+            queue.push_back(Pending { cube: lower, depth: depth + 1, undecided: undecided.clone() });
             queue.push_back(Pending { cube: upper, depth: depth + 1, undecided });
         }
         let mut total = Rational::zero();

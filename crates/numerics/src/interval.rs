@@ -236,26 +236,31 @@ impl Interval {
 
     /// Conservative enclosure of `exp` over the interval.
     ///
-    /// The result is outward rounded using exactly-represented `f64` bounds,
-    /// so it always contains the true image (monotonicity of `exp`). `None`
-    /// when an endpoint overflows `f64`: no finite bound is then known.
+    /// `exp` is monotone, so it is applied to the lower endpoint rounded down
+    /// and the upper endpoint rounded up, and the results are widened by a
+    /// relative margin that covers libm's error; the enclosure therefore
+    /// contains the true image. `None` when an endpoint overflows `f64`: no
+    /// finite bound is then known.
     pub fn exp(&self) -> Option<Interval> {
         Some(Interval::new(
-            outward_lo(self.lo.to_f64().exp())?,
-            outward_hi(self.hi.to_f64().exp())?,
+            outward_lo(self.lo.to_f64_down().exp())?,
+            outward_hi(self.hi.to_f64_up().exp())?,
         ))
     }
 
     /// Conservative enclosure of the logistic sigmoid `sig(x) = 1/(1+e^{-x})`,
-    /// clamped to `[0, 1]` (the sigmoid's true range). `None` when an
-    /// endpoint is not a finite `f64`.
+    /// clamped to `[0, 1]` (the sigmoid's true range), rounded outward as for
+    /// [`Interval::exp`]. `None` when an endpoint is not a finite `f64`.
     pub fn sig(&self) -> Option<Interval> {
-        let lo = outward_lo(sigmoid(self.lo.to_f64()))?.max(Rational::zero());
-        let hi = outward_hi(sigmoid(self.hi.to_f64()))?.min(Rational::one());
+        let lo = outward_lo(sigmoid(self.lo.to_f64_down()))?.max(Rational::zero());
+        let hi = outward_hi(sigmoid(self.hi.to_f64_up()))?.min(Rational::one());
         Some(Interval::new(lo, hi))
     }
 
-    /// Conservative enclosure of `log` (natural logarithm) over the interval.
+    /// Conservative enclosure of `log` (natural logarithm) over the interval,
+    /// rounded outward as for [`Interval::exp`]. Rounding the endpoints to
+    /// nearest instead could move them by half an ulp towards each other,
+    /// which near 1 moves `log` by ~1e-16 while the margin is ~1e-28.
     /// `None` when an endpoint overflows `f64`.
     ///
     /// # Panics
@@ -267,8 +272,8 @@ impl Interval {
             "log enclosure requires a strictly positive interval"
         );
         Some(Interval::new(
-            outward_lo(self.lo.to_f64().ln())?,
-            outward_hi(self.hi.to_f64().ln())?,
+            outward_lo(self.lo.to_f64_down().ln())?,
+            outward_hi(self.hi.to_f64_up().ln())?,
         ))
     }
 
@@ -541,6 +546,16 @@ mod tests {
         assert!(s.hi() <= &Rational::one());
         let l = iv(1, 1, 2, 1).log().unwrap();
         assert!(l.lo().to_f64() <= 0.0 + 1e-9 && l.hi().to_f64() >= std::f64::consts::LN_2);
+    }
+
+    #[test]
+    fn transcendental_endpoints_round_outward() {
+        // 1 + 3/2⁵³ is halfway between two floats and rounds to nearest
+        // *up*, to 1 + 4/2⁵³; its log is below 3/2⁵³ but above 3/2⁵³ − ε².
+        let eps = Rational::from_ratio(3, 1 << 53);
+        let l = Interval::point(&Rational::one() + &eps).log().unwrap();
+        assert!(l.lo() < &eps, "log lower end {} is above log(1 + ε)", l.lo());
+        assert!(l.hi() >= &(&eps - &(&eps * &eps)));
     }
 
     #[test]

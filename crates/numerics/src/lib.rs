@@ -8,7 +8,9 @@
 //! * [`BigUint`] / [`BigInt`] — arbitrary-precision integers,
 //! * [`Rational`] — exact rational numbers (probabilities, weights, volumes),
 //! * [`Interval`] / [`IntervalBox`] — closed rational intervals and boxes, the
-//!   carriers of the interval-trace semantics of §3.
+//!   carriers of the interval-trace semantics of §3,
+//! * [`EndpointBrackets`] — `f64` brackets of an exact interval's endpoints,
+//!   which decide most interval comparisons without rational arithmetic.
 //!
 //! # Examples
 //!
@@ -24,9 +26,11 @@
 #![warn(missing_docs)]
 
 mod bigint;
+mod brackets;
 mod interval;
 mod rational;
 
 pub use bigint::{BigInt, BigUint, Sign};
+pub use brackets::EndpointBrackets;
 pub use interval::{Interval, IntervalBox};
 pub use rational::Rational;

@@ -425,6 +425,96 @@ impl Rational {
         }
     }
 
+    /// The largest `f64` at most the value (`−∞` below `−f64::MAX`): exact
+    /// for a float, one ulp below the value otherwise.
+    pub fn to_f64_down(&self) -> f64 {
+        self.f64_bounds()[0]
+    }
+
+    /// The smallest `f64` at least the value (`+∞` above `f64::MAX`): exact
+    /// for a float, one ulp above the value otherwise.
+    pub fn to_f64_up(&self) -> f64 {
+        self.f64_bounds()[1]
+    }
+
+    /// `[to_f64_down, to_f64_up]`.
+    fn f64_bounds(&self) -> [f64; 2] {
+        self.small_f64_bounds().unwrap_or_else(|| self.f64_bounds_by_division())
+    }
+
+    /// `[to_f64_down, to_f64_up]` of a value stored small; `None` for a value
+    /// stored big. Only a value whose numerator is not a float and whose
+    /// denominator is not a power of two needs the heap.
+    pub(crate) fn small_f64_bounds(&self) -> Option<[f64; 2]> {
+        let Small { num, den } = self.0 else { return None };
+        let (n, d) = (num as f64, den as f64);
+        let q = n / d;
+        if n as i128 == num as i128 && d as u128 == den as u128 {
+            // A correctly rounded quotient leaves a remainder `n − q·d` that
+            // is a float (q ≥ 2⁻⁶⁴ cannot underflow), so `mul_add` computes
+            // it exactly and its sign says which way `q` was rounded.
+            return crate::brackets::round_out(q, (-q).mul_add(d, n));
+        }
+        if den.is_power_of_two() {
+            // Dividing by a power of two is exact: only `n` was rounded.
+            return Some(match (n as i128).cmp(&(num as i128)) {
+                Ordering::Greater => [q.next_down(), q],
+                _ => [q, q.next_up()],
+            });
+        }
+        Some(self.f64_bounds_by_division())
+    }
+
+    /// `[to_f64_down, to_f64_up]` from one integer division: the value's
+    /// magnitude is `m·2ᵉ` plus a remainder, with `m < 2⁵³` as wide as the
+    /// float format allows at that scale, so `m·2ᵉ` is the float just below.
+    #[cold]
+    fn f64_bounds_by_division(&self) -> [f64; 2] {
+        if self.is_zero() {
+            return [0.0, 0.0];
+        }
+        let (num, den) = self.to_big();
+        let mag = num.magnitude();
+        // 2^(bits(mag) − bits(den) − 1) < mag/den < 2^(bits(mag) − bits(den) + 1),
+        // so this `e` leaves 53 or 54 bits in the quotient; below the float
+        // range `e` stops at the subnormal step 2⁻¹⁰⁷⁴.
+        let mut e = (mag.bits() as i64 - den.bits() as i64 - 53).max(-1074);
+        let (m, exact) = loop {
+            let (q, r) = if e >= 0 {
+                mag.div_rem(&den.shl_bits(e as u64))
+            } else {
+                mag.shl_bits(e.unsigned_abs()).div_rem(&den)
+            };
+            if q.bits() <= 53 {
+                break (q.to_u64().expect("a 53-bit quotient"), r.is_zero());
+            }
+            e += 1;
+        };
+        // m·2ᵉ is a float (m < 2⁵³; m ≥ 2⁵² unless e = −1074), or overflows.
+        let down = if e > 1023 {
+            f64::INFINITY
+        } else {
+            let scale = if e >= -1022 {
+                f64::from_bits(((e + 1023) as u64) << 52)
+            } else {
+                f64::from_bits(1u64 << (e + 1074))
+            };
+            m as f64 * scale
+        };
+        let [down, up] = if down.is_infinite() {
+            [f64::MAX, f64::INFINITY]
+        } else if exact {
+            [down, down]
+        } else {
+            [down, down.next_up()]
+        };
+        if num.is_negative() {
+            [-up, -down]
+        } else {
+            [down, up]
+        }
+    }
+
     /// [`from_f64_exact`](Rational::from_f64_exact) for a float that may not
     /// be finite: `None` for ±inf and NaN.
     #[must_use]
@@ -451,6 +541,14 @@ impl Rational {
         } else {
             (mantissa | (1u64 << 52), exponent - 1075)
         };
+        // Box endpoints and most other floats are small dyadics.
+        if (-64..=10).contains(&exponent) {
+            return if exponent >= 0 {
+                Rational::from_coprime(negative, (mantissa as u128) << exponent, 1)
+            } else {
+                Rational::reduce(negative, mantissa as u128, 1u128 << -exponent)
+            };
+        }
         let num = BigInt::from_sign_mag(sign_of(negative), BigUint::from(mantissa));
         if exponent >= 0 {
             Rational::from_bigint_ratio(
@@ -762,6 +860,71 @@ mod tests {
             assert_eq!(q.to_f64(), v);
         }
         assert!((r(1, 3).to_f64() - 1.0 / 3.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn small_dyadic_floats_convert_to_canonical_rationals() {
+        // The inline path must build the same canonical value as the
+        // big-integer path it short-cuts.
+        for v in [0.5f64, -0.375, 3.0, 1024.0, 1e-19, 0.1, 1.0 / 3.0, -(2f64.powi(62)), 5e-324] {
+            let bits = v.abs().to_bits();
+            let (m, e) = match bits >> 52 {
+                0 => (bits, -1074),
+                x => ((bits & ((1 << 52) - 1)) | (1 << 52), x as i32 - 1075),
+            };
+            let magnitude = Rational::from_bigint(BigInt::from(m)) * Rational::from_int(2).pow(e);
+            let expected = if v < 0.0 { -magnitude } else { magnitude };
+            assert_eq!(Rational::from_f64_exact(v), expected, "{v:e}");
+        }
+    }
+
+    #[test]
+    fn directed_conversions_bracket_the_value_within_one_ulp() {
+        let two = Rational::from_int(2);
+        let mut values = vec![
+            Rational::zero(),
+            r(1, 3),
+            r(-1, 3),
+            r(7, 10),
+            r(3, 8),
+            r(i64::MAX, 3),
+            r(i64::MIN + 1, 7),
+            r((1 << 60) + 1, 1 << 61),
+            r(-((1 << 60) + 1), 1 << 61),
+            r((1 << 60) + 1, (1 << 60) + 3),
+            r(1, i64::MAX),
+            &Rational::one() + &Rational::from_f64_exact(f64::EPSILON * 1.5),
+            two.pow(-1080),
+            -two.pow(-1074) * r(1, 3),
+            two.pow(-1022) * r(2, 3),
+            two.pow(1024),
+            -two.pow(1100),
+            Rational::from_f64_exact(f64::MAX) + r(1, 3),
+            two.pow(70) + r(1, 3),
+            two.pow(-900) * r(1, 3),
+            r(1, 3) * two.pow(-90) - two.pow(-1000),
+        ];
+        values.extend((1..200).map(|k| r(k * 7919 - 700_000, 1 + k * 104_729)));
+        for v in &values {
+            let [down, up] = [v.to_f64_down(), v.to_f64_up()];
+            let exact = |f: f64| Rational::from_f64_exact(f);
+            assert!(down <= up, "{v}");
+            assert!(down == f64::NEG_INFINITY || exact(down) <= *v, "{v}: {down:e}");
+            assert!(up == f64::INFINITY || *v <= exact(up), "{v}: {up:e}");
+            if down == up {
+                assert_eq!(exact(down), *v);
+            } else {
+                assert_eq!(up, down.next_up(), "{v}: one ulp wide");
+                assert!(down.is_infinite() || exact(down) != *v);
+            }
+            if let Some(fast) = v.small_f64_bounds() {
+                assert_eq!(fast, v.f64_bounds_by_division(), "{v}");
+            }
+        }
+        assert_eq!(two.pow(1024).to_f64_down(), f64::MAX);
+        assert_eq!((-two.pow(1100)).to_f64_down(), f64::NEG_INFINITY);
+        assert_eq!(two.pow(-1080).to_f64_down(), 0.0);
+        assert_eq!(two.pow(-1080).to_f64_up(), 5e-324);
     }
 
     #[test]

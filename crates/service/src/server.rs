@@ -2434,7 +2434,7 @@ mod tests {
         let s = server();
         // A binary-branching recursion with a cubic guard explores an
         // exponential tree and measures every path with the box sweep: depth
-        // 400 takes about 12 s in a release build, but the first terminating
+        // 400 takes about 1.3 s in a release build, but the first terminating
         // paths are found and measured within milliseconds, so the partial
         // bound is nonzero.
         let tree = "(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0";
@@ -2525,14 +2525,15 @@ mod tests {
     fn partial_lower_checkpoints_and_a_richer_retry_resumes() {
         // Above the default depth cap of 400.
         let s = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
-        // geo with a non-affine guard: its path tree is a single chain, so
-        // its frontier stays tiny, but every path is measured by the box
-        // sweep over ever more dimensions. Depth 1600 takes about 2 s in a
-        // release build, so the first run truncates with a checkpoint.
-        let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
+        // A chain of recursive calls that first fans out into a depth-4
+        // binary tree of 16 terminating leaves: its frontier stays small, but
+        // every leaf is measured by the box sweep over 10 or more dimensions.
+        // Depth 1600 takes about 4.7 s in a release build, so the first run
+        // truncates with a checkpoint.
+        let chain = "(fix phi x. if sample * sample <= 1/2 then (fix t n. if n <= 0 then x else if sample * sample <= 1/2 then t (n - 1) else t (n - 1)) 4 else phi (x + 1)) 0";
         let reply = s
             .handle_line(&format!(
-                r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":120}}"#
+                r#"{{"op":"lower","program":"{chain}","depth":1600,"deadline_ms":120}}"#
             ))
             .unwrap();
         let partial = result_of(&reply);
@@ -2557,7 +2558,7 @@ mod tests {
         // says so and the bound is monotone.
         let reply = s
             .handle_line(&format!(
-                r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":2000}}"#
+                r#"{{"op":"lower","program":"{chain}","depth":1600,"deadline_ms":2000}}"#
             ))
             .unwrap();
         let resumed = result_of(&reply);
@@ -2638,11 +2639,11 @@ mod tests {
     #[test]
     fn a_partial_never_displaces_a_higher_bound() {
         let s = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
-        // The non-affine geo below cannot finish depth 1600 in 120 ms (see
-        // the resume test), so it truncates with a box-swept partial bound.
-        let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
+        // The chain below cannot finish depth 1600 in 120 ms (see the resume
+        // test), so it truncates with a box-swept partial bound.
+        let chain = "(fix phi x. if sample * sample <= 1/2 then (fix t n. if n <= 0 then x else if sample * sample <= 1/2 then t (n - 1) else t (n - 1)) 4 else phi (x + 1)) 0";
         let key = CacheKey {
-            term: parse_term(geo).unwrap().canonical_key(),
+            term: parse_term(chain).unwrap().canonical_key(),
             analysis: "lower",
             config: "depth=1600".into(),
         };
@@ -2660,7 +2661,7 @@ mod tests {
         // computes partial B, a lower bound from more engine time.
         let reply = s
             .handle_line(&format!(
-                r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":120}}"#
+                r#"{{"op":"lower","program":"{chain}","depth":1600,"deadline_ms":120}}"#
             ))
             .unwrap();
         let fresh = result_of(&reply);
@@ -2669,7 +2670,7 @@ mod tests {
         // A survives: a budget A serves is still answered with A.
         let reply = s
             .handle_line(&format!(
-                r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":20}}"#
+                r#"{{"op":"lower","program":"{chain}","depth":1600,"deadline_ms":20}}"#
             ))
             .unwrap();
         let v: Value = serde_json::from_str(&reply).unwrap();
@@ -2814,7 +2815,7 @@ mod tests {
     #[test]
     fn analyze_reports_partial_results_under_deadline() {
         let s = server();
-        // About 12 s of box sweeps in a release build (see above).
+        // About 1.3 s of box sweeps in a release build (see above).
         let tree = "(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0";
         let reply = s
             .handle_line(&format!(

@@ -64,9 +64,11 @@ fn program(k: usize) -> String {
 }
 
 const GEO: &str = "(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0";
-/// geo with a non-affine guard: every path is measured by the box sweep, so
-/// depth 1600 takes about 2 s even in a release build.
-const SLOW_GEO: &str = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
+/// A chain of recursive calls that first fans out into a depth-4 binary tree
+/// of 16 terminating leaves, each a path measured by the box sweep: depth
+/// 1600 takes about 4.7 s even in a release build.
+const SLOW_CHAIN: &str =
+    "(fix phi x. if sample * sample <= 1/2 then (fix t n. if n <= 0 then x else if sample * sample <= 1/2 then t (n - 1) else t (n - 1)) 4 else phi (x + 1)) 0";
 
 /// Panics and slowdowns hit exactly the scheduled engine runs; every client
 /// gets a structured reply; the cache survives uncorrupted and post-chaos
@@ -185,11 +187,11 @@ fn saturated_admission_queue_sheds_with_retry_after() {
     });
     let running = server.spawn_tcp("127.0.0.1:0").expect("bind loopback");
 
-    // Pin the single worker: a deadline-bounded run that takes about 2 s
+    // Pin the single worker: a deadline-bounded run that takes about 4.7 s
     // in a release build keeps the engine busy for the whole deadline.
     let mut pinner = Client::connect(running.addr);
     pinner.send(&format!(
-        r#"{{"id":1,"op":"lower","program":"{SLOW_GEO}","depth":1600,"deadline_ms":500}}"#
+        r#"{{"id":1,"op":"lower","program":"{SLOW_CHAIN}","depth":1600,"deadline_ms":500}}"#
     ));
     std::thread::sleep(Duration::from_millis(100)); // let the worker pop it
 

@@ -246,13 +246,14 @@ fn checkpointed_partial_survives_a_graceful_restart_and_resumes() {
         cache_path: Some(cache_path),
         ..Default::default()
     };
-    // geo with a non-affine guard: a single chain of paths, each measured by
-    // the box sweep; depth 1600 takes about 2 s in a release build, so both
-    // runs below truncate.
-    let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
+    // A chain of recursive calls that first fans out into a depth-4 binary
+    // tree of 16 terminating leaves, each measured by the box sweep; the
+    // frontier stays small enough to checkpoint. Depth 1600 takes about
+    // 4.7 s in a release build, so both runs below truncate.
+    let chain = "(fix phi x. if sample * sample <= 1/2 then (fix t n. if n <= 0 then x else if sample * sample <= 1/2 then t (n - 1) else t (n - 1)) 4 else phi (x + 1)) 0";
     let request = |id: u32, deadline_ms: u32| {
         format!(
-            r#"{{"id":{id},"op":"lower","program":"{geo}","depth":1600,"deadline_ms":{deadline_ms}}}"#
+            r#"{{"id":{id},"op":"lower","program":"{chain}","depth":1600,"deadline_ms":{deadline_ms}}}"#
         )
     };
 

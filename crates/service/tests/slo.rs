@@ -69,12 +69,14 @@ fn whole_catalogue_lower_replies_within_deadline_plus_slack() {
 fn resumed_retries_tighten_bounds_monotonically() {
     // Above the default depth cap of 400.
     let server = Server::new(ServerConfig { workers: 1, max_depth: 1600, ..Default::default() });
-    // A single chain of paths, each measured by the box sweep: depth 1600
-    // takes about 2 s in a release build, far beyond the first deadline.
-    let geo = "(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0";
+    // A chain of recursive calls that first fans out into a depth-4 binary
+    // tree of 16 terminating leaves, each measured by the box sweep: depth
+    // 1600 takes about 4.7 s in a release build, far beyond the first
+    // deadline.
+    let chain = "(fix phi x. if sample * sample <= 1/2 then (fix t n. if n <= 0 then x else if sample * sample <= 1/2 then t (n - 1) else t (n - 1)) 4 else phi (x + 1)) 0";
     let first = handle_line(
         server.state(),
-        &format!(r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":100}}"#),
+        &format!(r#"{{"op":"lower","program":"{chain}","depth":1600,"deadline_ms":100}}"#),
     )
     .unwrap();
     let first_v = serde_json::from_str(&first).unwrap();
@@ -84,7 +86,7 @@ fn resumed_retries_tighten_bounds_monotonically() {
 
     let retry = handle_line(
         server.state(),
-        &format!(r#"{{"op":"lower","program":"{geo}","depth":1600,"deadline_ms":2000}}"#),
+        &format!(r#"{{"op":"lower","program":"{chain}","depth":1600,"deadline_ms":2000}}"#),
     )
     .unwrap();
     let retry_v = serde_json::from_str(&retry).unwrap();

@@ -69,8 +69,8 @@ if [ -x target/release/probterm ]; then
         *) echo "cli FAILED: lower: $lower_out"; cli_status=1 ;;
     esac
     # A binary-branching recursion with a cubic guard: every path needs the
-    # box sweep, so the full run takes about 12 s (it stops at the 50,000-path
-    # budget), far beyond the 100 ms deadline.
+    # box sweep, so the full run takes about 1.3 s in release (it stops at
+    # the 50,000-path budget), far beyond the 100 ms deadline.
     partial_out=$(timeout 60 target/release/probterm lower \
         -e '(fix phi x. if sample * sample * sample <= 1/2 then x else phi (phi x)) 0' \
         --depth 4000 --deadline-ms 100)
@@ -302,17 +302,20 @@ if [ -x target/release/probterm ]; then
         esac
     }
     geo='(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0'
-    # geo with a non-affine guard: each path needs the box sweep, so depth
-    # 400 (the service's default depth cap) takes about 0.45-0.48 s in
-    # release, over ten times run 2's 40 ms deadline and well inside run 3's.
-    slow_geo='(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0'
+    # A chain of recursive calls that first fans out into a depth-4 binary
+    # tree of 16 terminating leaves: every leaf is a path measured by the box
+    # sweep over 10 or more dimensions, while the frontier stays small enough
+    # to checkpoint. Depth 400 (the service's default depth cap) takes about
+    # 0.44-0.49 s in release, over ten times run 2's 40 ms deadline and well
+    # inside run 3's.
+    slow_chain='(fix phi x. if sample * sample <= 1/2 then (fix t n. if n <= 0 then x else if sample * sample <= 1/2 then t (n - 1) else t (n - 1)) 4 else phi (x + 1)) 0'
     # Engine run 1: a plain complete lower.
     chaos_request '{"id":1,"op":"lower","program":"'"$geo"'","depth":25}' '"ok":true'
     # Engine run 2: deadline-cut partial that must embed a resume checkpoint.
-    chaos_request '{"id":2,"op":"lower","program":"'"$slow_geo"'","depth":400,"deadline_ms":40}' '"checkpoint"'
+    chaos_request '{"id":2,"op":"lower","program":"'"$slow_chain"'","depth":400,"deadline_ms":40}' '"checkpoint"'
     # Engine run 3: a much richer retry resumes the checkpoint instead of
     # recomputing from scratch, and completes.
-    chaos_request '{"id":3,"op":"lower","program":"'"$slow_geo"'","depth":400,"deadline_ms":10000}' '"resumed":true'
+    chaos_request '{"id":3,"op":"lower","program":"'"$slow_chain"'","depth":400,"deadline_ms":10000}' '"resumed":true'
     # Engine run 4: the injected panic (panic=@4) surfaces as a structured
     # internal error, not a dead worker or a dropped line.
     chaos_request '{"id":4,"op":"verify","program":"(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1"}' '"code":"internal"'
