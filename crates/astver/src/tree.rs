@@ -450,7 +450,7 @@ fn drive_tree(
                         None => break ExecTree::Stuck,
                     }
                 } else {
-                    machine.resume_lit(GuardValue::Prim(p, args));
+                    machine.resume_lit(GuardValue::Prim(p, args.into_vec()));
                 }
             }
             Event::BranchReady(guard) => {

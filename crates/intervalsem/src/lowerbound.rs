@@ -380,6 +380,21 @@ mod tests {
     }
 
     #[test]
+    fn exp_guards_past_f64_max_still_decide_boxes() {
+        // exp(1000·α) overflows f64 for α > ln(f64::MAX)/1000 ≈ 0.7097; the
+        // enclosure's upper end there is a power of two, which still decides
+        // the boxes. Pterm = 1.
+        let r = lb("if exp (1000 * sample) <= 5 then 0 else 1", 10);
+        assert!(r.probability >= Rational::from_ratio(99, 100), "bound {}", r.probability);
+        assert!(r.probability <= Rational::one());
+        // The diverging variant terminates exactly when α ≤ ln 5 / 1000 =
+        // 0.00160943791243410037…; the bound stays below that.
+        let r = lb("if exp (1000 * sample) <= 5 then 0 else (fix f x. f x) 0", 10);
+        assert!(r.probability <= Rational::parse("0.0016094379124341003").unwrap());
+        assert!(r.probability >= Rational::parse("0.0016").unwrap(), "bound {}", r.probability);
+    }
+
+    #[test]
     fn log_guards_near_one_stay_below_the_termination_probability() {
         // With ε = 3/2⁵³ and c = 3.5/2⁵³, log(1 + ε + α·ε) ≈ ε·(1 + α) is
         // ≤ c exactly when α ≤ 1/6, so the program terminates with

@@ -392,7 +392,7 @@ impl AffineForm {
 /// The length of `{α ∈ [0,1] | c·α ≤ b for every form}`, for forms over one
 /// and the same variable with `c ≠ 0`: the closed form of
 /// [`SymbolicPath::exact_probability`] for a one-variable group.
-fn interval_length(forms: &[&AffineForm]) -> Rational {
+fn interval_length<'f>(forms: impl Iterator<Item = &'f AffineForm>) -> Rational {
     let (mut lo, mut hi) = (Rational::zero(), Rational::one());
     for form in forms {
         let [(_, c)] = form.terms.as_slice() else {
@@ -699,29 +699,30 @@ impl SymbolicPath {
                 parent[a] = b;
             }
         }
-        // Each variable's position inside its component, each component's
-        // size, and the constraints of each component, all indexed by root.
-        let mut local = vec![0usize; n];
-        let mut size = vec![0usize; n];
+        // One scratch buffer: each component's size, indexed by root, then
+        // each variable's position inside its component.
+        let mut scratch = vec![0usize; 2 * n];
+        let (size, local) = scratch.split_at_mut(n);
         for (i, slot) in local.iter_mut().enumerate() {
             let root = find(&mut parent, i);
             *slot = size[root];
             size[root] += 1;
         }
-        let mut groups: Vec<Vec<&AffineForm>> = vec![Vec::new(); n];
-        for form in &linear {
-            if let Some((i, _)) = form.terms.first() {
-                groups[find(&mut parent, *i)].push(form);
-            }
-        }
-        // Ascending root order, so the early returns below (an oversized
-        // component, an empty one) fire in a fixed order.
+        // Each constraint with a variable, tagged with its component's root.
+        // Sorted, the tags run component by component in ascending root
+        // order, so the early returns below (an oversized component, an
+        // empty one) fire in a fixed order; inside a run the constraints
+        // keep their path order.
+        let mut tags: Vec<(usize, usize)> = linear
+            .iter()
+            .enumerate()
+            .filter_map(|(k, form)| Some((find(&mut parent, form.terms.first()?.0), k)))
+            .collect();
+        tags.sort_unstable();
         let mut probability = Rational::one();
-        for (root, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let volume = match size[root] {
+        for run in tags.chunk_by(|a, b| a.0 == b.0) {
+            let group = run.iter().map(|&(_, k)| &linear[k]);
+            let volume = match size[run[0].0] {
                 1 => interval_length(group),
                 d if d > MAX_EXACT_DIMENSION => return None,
                 d => {
@@ -1259,18 +1260,23 @@ pub fn frontier_seeds(frontier: &[FrontierPath]) -> Vec<ReplaySeed> {
         .collect()
 }
 
-/// One entry of a path's history: a recorded constraint, together with the
-/// branch decision that recorded it (`None` for a `score` constraint).
+/// One entry of a path's history: a recorded constraint `value ⊲⊳ 0` of
+/// comparison `kind`, together with the branch decision that recorded it
+/// (`None` for a `score` constraint). The value is shared: both children of
+/// a fork record the same guard, so the fork moves it into one `Rc` that
+/// both entries hold instead of copying it.
 struct Decision {
     branch: Option<Branch>,
-    constraint: SymConstraint,
+    kind: ConstraintKind,
+    value: Rc<SymValue>,
 }
 
 /// A path's history as a shared-prefix persistent list, newest entry first.
 /// Cloning shares the whole list, so forking a path costs O(1) however deep
 /// it is; each child then pushes its own entry in front of the shared part.
-/// A path copies its history out into vectors only when it terminates or is
-/// cut off.
+/// A node is three words: the entry's two tags, its value handle and the
+/// link. A path copies its history out into vectors, and its constraints
+/// into owned [`SymConstraint`]s, only when it terminates or is cut off.
 #[derive(Clone, Default)]
 struct History(Option<Rc<HistoryNode>>);
 
@@ -1292,9 +1298,9 @@ impl Drop for HistoryNode {
 }
 
 impl History {
-    fn push(&mut self, branch: Option<Branch>, constraint: SymConstraint) {
+    fn push(&mut self, branch: Option<Branch>, kind: ConstraintKind, value: Rc<SymValue>) {
         let rest = History(self.0.take());
-        self.0 = Some(Rc::new(HistoryNode { decision: Decision { branch, constraint }, rest }));
+        self.0 = Some(Rc::new(HistoryNode { decision: Decision { branch, kind, value }, rest }));
     }
 
     /// The entries, newest first.
@@ -1319,8 +1325,10 @@ impl History {
 
     /// The constraints, oldest first.
     fn constraints(&self) -> Vec<SymConstraint> {
-        let mut constraints: Vec<SymConstraint> =
-            self.iter().map(|d| d.constraint.clone()).collect();
+        let mut constraints: Vec<SymConstraint> = self
+            .iter()
+            .map(|d| SymConstraint { value: SymValue::clone(&d.value), kind: d.kind })
+            .collect();
         constraints.reverse();
         constraints
     }
@@ -1530,9 +1538,10 @@ pub fn try_explore_seeded<'t, E>(
                 Event::PrimReady(p, mut args) => {
                     // Constant-fold in place when every argument is a
                     // `Const` (a value with no sample variable always is
-                    // one); postpone the application otherwise. Every
-                    // primitive is unary or binary.
-                    let folded = match args.as_mut_slice() {
+                    // one); postpone the application otherwise, the only
+                    // case that allocates. Every primitive is unary or
+                    // binary.
+                    let folded = match &mut *args {
                         [SymValue::Const(a)] => Some(p.eval(std::slice::from_ref(a))),
                         [SymValue::Const(a), SymValue::Const(b)] => {
                             Some(p.eval(&[std::mem::take(a), std::mem::take(b)]))
@@ -1545,7 +1554,7 @@ pub fn try_explore_seeded<'t, E>(
                             result.stuck += 1;
                             break;
                         }
-                        None => path.machine.resume_lit(SymValue::Prim(p, args)),
+                        None => path.machine.resume_lit(SymValue::Prim(p, args.into_vec())),
                     }
                 }
                 Event::BranchReady(guard) => {
@@ -1560,17 +1569,12 @@ pub fn try_explore_seeded<'t, E>(
                     } else if let Some(b) = path.next_replayed() {
                         let take_then = matches!(b, Branch::Then);
                         path.machine.resume_branch(take_then);
-                        path.history.push(
-                            Some(b),
-                            SymConstraint {
-                                value: guard,
-                                kind: if take_then {
-                                    ConstraintKind::NonPositive
-                                } else {
-                                    ConstraintKind::Positive
-                                },
-                            },
-                        );
+                        let kind = if take_then {
+                            ConstraintKind::NonPositive
+                        } else {
+                            ConstraintKind::Positive
+                        };
+                        path.history.push(Some(b), kind, Rc::new(guard));
                     } else if pushed >= config.max_paths {
                         // Neither child is ever popped, so each becomes its
                         // frontier record now: one history walk into a
@@ -1598,19 +1602,16 @@ pub fn try_explore_seeded<'t, E>(
                             history: path.history.clone(),
                             replay: None,
                         };
+                        // Both children record the same guard: one shared copy.
+                        let guard = Rc::new(guard);
                         path.machine.resume_branch(true);
                         path.history.push(
                             Some(Branch::Then),
-                            SymConstraint {
-                                value: guard.clone(),
-                                kind: ConstraintKind::NonPositive,
-                            },
+                            ConstraintKind::NonPositive,
+                            Rc::clone(&guard),
                         );
                         else_path.machine.resume_branch(false);
-                        else_path.history.push(
-                            Some(Branch::Else),
-                            SymConstraint { value: guard, kind: ConstraintKind::Positive },
-                        );
+                        else_path.history.push(Some(Branch::Else), ConstraintKind::Positive, guard);
                         queue.push_back(path);
                         queue.push_back(else_path);
                         pushed += 2;
@@ -1628,10 +1629,7 @@ pub fn try_explore_seeded<'t, E>(
                     }
                     SymValue::Const(_) => path.machine.resume_lit(v),
                     _ => {
-                        path.history.push(
-                            None,
-                            SymConstraint { value: v.clone(), kind: ConstraintKind::NonNegative },
-                        );
+                        path.history.push(None, ConstraintKind::NonNegative, Rc::new(v.clone()));
                         path.machine.resume_lit(v);
                     }
                 },
@@ -2162,18 +2160,18 @@ mod tests {
     }
 
     #[test]
-    fn enclosures_that_overflow_f64_leave_boxes_undecided() {
-        // exp(1000·α0) overflows f64 wherever α0 > ln(f64::MAX)/1000 ≈ 0.7097,
-        // so no box reaching past that point is decided; the boxes below it
-        // are, and the bound stays sound and positive.
+    fn enclosures_past_f64_max_still_decide_boxes() {
+        // exp(1000·α0) overflows f64 wherever α0 > ln(f64::MAX)/1000 ≈ 0.7097;
+        // the enclosure's upper end there is an exact power of two, so the
+        // boxes past that point are decided too and the bound reaches 1.
         let e = explore_src("if exp (1000 * sample) <= 5 then 0 else 1", 100);
         assert_eq!(e.terminated.len(), 2);
         let root = IntervalBox::unit(1);
         for path in &e.terminated {
             assert_eq!(path.constraints[0].check_box(&root), None);
         }
-        let mass: f64 = e.terminated.iter().map(|p| p.probability(3_000).to_f64()).sum();
-        assert!(mass > 0.6 && mass <= 0.7098, "mass {mass}");
+        let mass: Rational = e.terminated.iter().map(|p| p.probability(3_000)).sum();
+        assert!(mass.to_f64() > 0.99 && mass <= Rational::one(), "mass {mass}");
         // log is undefined below α0 = 1/2: a box undefined everywhere is
         // dropped, one undefined on part of it is bisected, so the mass past
         // 1/2, where the program terminates, is recovered.
@@ -2474,21 +2472,30 @@ mod tests {
     }
 
     #[test]
+    fn exploration_state_stays_compact() {
+        // Every in-flight path carries these: a two-word rational, a
+        // symbolic value of four words and a three-word history node.
+        assert_eq!(std::mem::size_of::<Rational>(), 16);
+        assert!(std::mem::size_of::<SymValue>() <= 32);
+        assert!(std::mem::size_of::<HistoryNode>() <= 24);
+    }
+
+    #[test]
     fn million_entry_histories_drop_on_a_small_stack() {
         std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn(|| {
-                let constraint =
-                    SymConstraint { value: SymValue::Var(0), kind: ConstraintKind::NonPositive };
+                let value = Rc::new(SymValue::Var(0));
+                let kind = ConstraintKind::NonPositive;
                 let mut history = History::default();
                 for _ in 0..1_000_000 {
-                    history.push(Some(Branch::Then), constraint.clone());
+                    history.push(Some(Branch::Then), kind, Rc::clone(&value));
                 }
                 // A fork shares the million-entry prefix; dropping either
                 // side first must leave the other intact.
                 let mut fork = history.clone();
-                fork.push(Some(Branch::Else), constraint.clone());
-                history.push(None, constraint);
+                fork.push(Some(Branch::Else), kind, Rc::clone(&value));
+                history.push(None, kind, value);
                 drop(history);
                 assert_eq!(fork.branches().len(), 1_000_001);
                 assert_eq!(fork.branches().last(), Some(&Branch::Else));

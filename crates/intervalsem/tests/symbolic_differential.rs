@@ -408,7 +408,7 @@ fn explore_queueing_every_child<'t>(
                             }
                         }
                     } else {
-                        path.machine.resume_lit(SymValue::Prim(p, args));
+                        path.machine.resume_lit(SymValue::Prim(p, args.into_vec()));
                     }
                 }
                 Event::BranchReady(guard) => {

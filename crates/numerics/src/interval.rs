@@ -239,13 +239,28 @@ impl Interval {
     /// `exp` is monotone, so it is applied to the lower endpoint rounded down
     /// and the upper endpoint rounded up, and the results are widened by a
     /// relative margin that covers libm's error; the enclosure therefore
-    /// contains the true image. `None` when an endpoint overflows `f64`: no
-    /// finite bound is then known.
+    /// contains the true image.
+    ///
+    /// An end whose `f64` image overflows still gets a bound. libm returns
+    /// `+∞` only when `eˣ ≥ f64::MAX·(1 − 2⁻⁵³)`, so an overflowing lower end
+    /// becomes `f64::MAX` less the margin. An overflowing upper end `h`
+    /// becomes the exact power `2^⌈h·U⌉` with the rational
+    /// `U = 1.4426950408889635 > log₂ e`; past the exponent `2¹⁶` the result
+    /// is `None`, so no enclosure grows huge.
     pub fn exp(&self) -> Option<Interval> {
-        Some(Interval::new(
-            outward_lo(self.lo.to_f64_down().exp())?,
-            outward_hi(self.hi.to_f64_up().exp())?,
-        ))
+        let hi = match outward_hi(self.hi.to_f64_up().exp()) {
+            Some(hi) => hi,
+            None => {
+                let (num, den) = LOG2_E_ABOVE;
+                let exponent = (&self.hi * &Rational::from_ratio(num, den)).ceil().to_i64()?;
+                if exponent > EXP_OVERFLOW_CAP {
+                    return None;
+                }
+                Rational::from_int(2).pow(exponent as i32)
+            }
+        };
+        let lo = outward_lo(self.lo.to_f64_down().exp().min(f64::MAX))?;
+        Some(Interval::new(lo, hi))
     }
 
     /// Conservative enclosure of the logistic sigmoid `sig(x) = 1/(1+e^{-x})`,
@@ -304,6 +319,14 @@ impl Interval {
         )
     }
 }
+
+/// `U = 1.4426950408889635` as `num/den`, a rational just above
+/// `log₂ e = 1.44269504088896340735…`: `eʰ = 2^(h·log₂ e) ≤ 2^⌈h·U⌉` for
+/// `h ≥ 0`. (The `f64` nearest `log₂ e` lies below it.)
+const LOG2_E_ABOVE: (i64, i64) = (14_426_950_408_889_635, 10_000_000_000_000_000);
+
+/// The largest power of two [`Interval::exp`] returns as an upper end.
+const EXP_OVERFLOW_CAP: i64 = 1 << 16;
 
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
@@ -560,8 +583,9 @@ mod tests {
 
     #[test]
     fn enclosures_beyond_f64_are_unknown() {
-        // exp(1000) overflows f64: no finite upper bound is known.
-        assert_eq!(iv(0, 1, 1000, 1).exp(), None);
+        // exp(50000) overflows f64, and 50000·log₂ e is past the exponent
+        // cap: no upper bound is given.
+        assert_eq!(iv(0, 1, 50_000, 1).exp(), None);
         // 10^512 converts to +inf as an f64, and so does its log; the
         // sigmoid of ±inf is still finite.
         let mut huge = Rational::from_int(10);
@@ -574,6 +598,41 @@ mod tests {
         // An underflow to 0 is still finite and still encloses.
         let e = iv(-1000, 1, 0, 1).exp().unwrap();
         assert!(e.lo().to_f64() <= 0.0 && e.hi() >= &Rational::one());
+    }
+
+    #[test]
+    fn exp_enclosures_past_f64_max_contain_the_true_value() {
+        // References: e ∈ [e₋, e₊] and log₂ e ∈ [l₋, l₊], exact rationals.
+        let e_below = Rational::from_ratio(2_718_281_828_459_045, 1_000_000_000_000_000);
+        let e_above = Rational::from_ratio(2_718_281_828_459_046, 1_000_000_000_000_000);
+        let log2_e_below = Rational::parse("1.4426950408889634073").unwrap();
+        let log2_e_above = Rational::parse("1.4426950408889634074").unwrap();
+        let two_to = |k: &Rational| Rational::from_int(2).pow(k.ceil().to_i64().unwrap() as i32);
+        // Below the overflow, eˣ ∈ [e₋ˣ, e₊ˣ], and the ends are within the
+        // relative margin.
+        let below_overflow = Interval::point(Rational::from_int(709)).exp().unwrap();
+        assert!(below_overflow.lo() <= &e_below.pow(709));
+        assert!(below_overflow.hi() >= &e_above.pow(709));
+        assert!(below_overflow.lo().to_f64() >= 709f64.exp() * (1.0 - 2e-12));
+        for x in [710, 1000, 5000] {
+            let x_q = Rational::from_int(x);
+            let enclosure = Interval::point(x_q.clone()).exp().expect("below the cap");
+            // eˣ = 2^(x·log₂ e) lies in [2^⌊x·l₋⌋, 2^⌈x·l₊⌉].
+            let (floor_exponent, ceil_exponent) = (&x_q * &log2_e_below, &x_q * &log2_e_above);
+            let floor_power = floor_exponent.floor().to_i64().unwrap() as i32;
+            let e_x_below = Rational::from_int(2).pow(floor_power);
+            assert!(enclosure.lo() <= &e_x_below, "exp({x}) lower end above eˣ");
+            assert!(enclosure.hi() >= &two_to(&ceil_exponent), "exp({x}) upper end below eˣ");
+            // Tight: the lower end is f64::MAX less the margin, the upper end
+            // within a binade of eˣ.
+            assert!(enclosure.lo().to_f64() >= f64::MAX * (1.0 - 2e-12), "exp({x}) lower end");
+            let doubled = two_to(&(&ceil_exponent + &Rational::one()));
+            assert!(enclosure.hi() <= &doubled, "exp({x}) upper end too loose");
+        }
+        // An interval straddling the overflow point keeps its finite lower end.
+        let straddle = iv(0, 1, 1000, 1).exp().expect("below the cap");
+        assert!(straddle.lo() <= &Rational::one());
+        assert!(straddle.hi() >= &two_to(&(&Rational::from_int(1000) * &log2_e_above)));
     }
 
     #[test]

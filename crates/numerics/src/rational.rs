@@ -8,22 +8,28 @@
 //!
 //! Almost all of those values are small: dyadic box endpoints, branch
 //! probabilities such as `7/10`, volumes of short paths. A [`Rational`]
-//! therefore keeps a value that fits machine words inline and does its
-//! arithmetic in `i128`/`u128`, with no heap allocation; only values that
-//! outgrow the words (long products of branch probabilities, powers of walk
-//! matrices) live in [`BigInt`]/[`BigUint`].
+//! is therefore two machine words: a value that fits them is kept inline
+//! and does its arithmetic in `i128`/`u128`, with no heap allocation; only
+//! values that outgrow the words (long products of branch probabilities,
+//! powers of walk matrices) live in a boxed [`BigInt`]/[`BigUint`] pair.
+//! Every symbolic value, interval endpoint and path weight the engines move
+//! around embeds rationals, so the two-word size is what keeps those small.
 
 use crate::bigint::{gcd_u128, gcd_u64, BigInt, BigUint, Sign};
 use std::cmp::Ordering;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// An exact rational number `num / den` with `den > 0` and `gcd(|num|, den) = 1`.
 ///
 /// A value has one of two representations:
 ///
-/// * *small*: an inline `i64` numerator and `u64` denominator;
-/// * *big*: a heap [`BigInt`] numerator and [`BigUint`] denominator.
+/// * *small*: an inline `i64` numerator and nonzero `u64` denominator;
+/// * *big*: a boxed [`BigInt`] numerator and [`BigUint`] denominator.
+///
+/// A zero denominator never occurs, so the big variant's box pointer sits
+/// in the denominator's niche and a `Rational` is two words (16 bytes).
 ///
 /// The choice is canonical. A value is small exactly when its reduced
 /// numerator lies in `-(2⁶³ - 1) ..= 2⁶³ - 1` and its denominator fits a
@@ -56,8 +62,15 @@ pub struct Rational(Repr);
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Repr {
-    Small { num: i64, den: u64 },
-    Big { num: BigInt, den: BigUint },
+    Small { num: i64, den: NonZeroU64 },
+    Big(Box<BigParts>),
+}
+
+/// The parts of a value that does not fit two words.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct BigParts {
+    num: BigInt,
+    den: BigUint,
 }
 
 use Repr::{Big, Small};
@@ -125,7 +138,11 @@ fn big_ratio_to_f64(num: &BigInt, den: &BigUint) -> f64 {
 
 impl Rational {
     const fn small(num: i64, den: u64) -> Rational {
-        Rational(Small { num, den })
+        Rational(Small { num, den: NonZeroU64::new(den).expect("positive denominator") })
+    }
+
+    fn big(num: BigInt, den: BigUint) -> Rational {
+        Rational(Big(Box::new(BigParts { num, den })))
     }
 
     /// The canonical value `±mag / den`, given `den > 0` and `gcd(mag, den) = 1`.
@@ -134,10 +151,10 @@ impl Rational {
             let num = mag as i64;
             Rational::small(if negative { -num } else { num }, den as u64)
         } else {
-            Rational(Big {
-                num: BigInt::from_sign_mag(sign_of(negative), BigUint::from(mag)),
-                den: BigUint::from(den),
-            })
+            Rational::big(
+                BigInt::from_sign_mag(sign_of(negative), BigUint::from(mag)),
+                BigUint::from(den),
+            )
         }
     }
 
@@ -145,7 +162,7 @@ impl Rational {
     fn from_big_coprime(num: BigInt, den: BigUint) -> Rational {
         match (num.to_i64(), den.to_u64()) {
             (Some(n), Some(d)) if n != i64::MIN => Rational::small(n, d),
-            _ => Rational(Big { num, den }),
+            _ => Rational::big(num, den),
         }
     }
 
@@ -164,8 +181,8 @@ impl Rational {
     /// The value as a big numerator and denominator.
     fn to_big(&self) -> (BigInt, BigUint) {
         match &self.0 {
-            Small { num, den } => (BigInt::from(*num), BigUint::from(*den)),
-            Big { num, den } => (num.clone(), den.clone()),
+            Small { num, den } => (BigInt::from(*num), BigUint::from(den.get())),
+            Big(big) => (big.num.clone(), big.den.clone()),
         }
     }
 
@@ -238,7 +255,7 @@ impl Rational {
 
     /// Returns `true` if the value is one.
     pub fn is_one(&self) -> bool {
-        matches!(self.0, Small { num: 1, den: 1 })
+        matches!(self.0, Small { num: 1, den } if den.get() == 1)
     }
 
     /// Returns `true` if strictly positive.
@@ -254,8 +271,8 @@ impl Rational {
     /// Returns `true` if the value is an integer.
     pub fn is_integer(&self) -> bool {
         match &self.0 {
-            Small { den, .. } => *den == 1,
-            Big { den, .. } => den.is_one(),
+            Small { den, .. } => den.get() == 1,
+            Big(big) => big.den.is_one(),
         }
     }
 
@@ -267,29 +284,23 @@ impl Rational {
                 Ordering::Equal => Sign::Zero,
                 Ordering::Greater => Sign::Positive,
             },
-            Big { num, .. } => num.sign(),
+            Big(big) => big.num.sign(),
         }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> Rational {
         match &self.0 {
-            Small { num, den } => Rational::small(num.abs(), *den),
-            Big { num, den } => Rational(Big {
-                num: num.abs(),
-                den: den.clone(),
-            }),
+            Small { num, den } => Rational(Small { num: num.abs(), den: *den }),
+            Big(big) => Rational::big(big.num.abs(), big.den.clone()),
         }
     }
 
     /// Additive inverse.
     pub fn negated(&self) -> Rational {
         match &self.0 {
-            Small { num, den } => Rational::small(-num, *den),
-            Big { num, den } => Rational(Big {
-                num: -num,
-                den: den.clone(),
-            }),
+            Small { num, den } => Rational(Small { num: -num, den: *den }),
+            Big(big) => Rational::big(-&big.num, big.den.clone()),
         }
     }
 
@@ -302,11 +313,11 @@ impl Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
         match &self.0 {
             Small { num, den } => {
-                Rational::from_coprime(*num < 0, *den as u128, num.unsigned_abs() as u128)
+                Rational::from_coprime(*num < 0, den.get() as u128, num.unsigned_abs() as u128)
             }
-            Big { num, den } => Rational::from_big_coprime(
-                BigInt::from_sign_mag(num.sign(), den.clone()),
-                num.magnitude().clone(),
+            Big(big) => Rational::from_big_coprime(
+                BigInt::from_sign_mag(big.num.sign(), big.den.clone()),
+                big.num.magnitude().clone(),
             ),
         }
     }
@@ -314,7 +325,7 @@ impl Rational {
     /// Adds two rationals.
     pub fn add_ref(&self, other: &Rational) -> Rational {
         if let (Small { num: a, den: b }, Small { num: c, den: d }) = (&self.0, &other.0) {
-            if let Some(sum) = add_small(*a, *b, *c, *d) {
+            if let Some(sum) = add_small(*a, b.get(), *c, d.get()) {
                 return sum;
             }
         }
@@ -333,7 +344,7 @@ impl Rational {
     pub fn mul_ref(&self, other: &Rational) -> Rational {
         if let (Small { num: a, den: b }, Small { num: c, den: d }) = (&self.0, &other.0) {
             let negative = (*a < 0) != (*c < 0);
-            return mul_small(negative, a.unsigned_abs(), *b, c.unsigned_abs(), *d);
+            return mul_small(negative, a.unsigned_abs(), b.get(), c.unsigned_abs(), d.get());
         }
         let ((a, b), (c, d)) = (self.to_big(), other.to_big());
         Rational::from_bigint_ratio(&a * &c, BigInt::from(b.mul_ref(&d)))
@@ -367,7 +378,7 @@ impl Rational {
 
     fn pow_u32(&self, exp: u32) -> Rational {
         if let Small { num, den } = self.0 {
-            let powers = (num.unsigned_abs().checked_pow(exp), den.checked_pow(exp));
+            let powers = (num.unsigned_abs().checked_pow(exp), den.get().checked_pow(exp));
             if let (Some(mag), Some(den)) = powers {
                 let negative = num < 0 && exp % 2 == 1;
                 return Rational::from_coprime(negative, mag as u128, den as u128);
@@ -398,9 +409,12 @@ impl Rational {
     /// Floor as a big integer.
     pub fn floor(&self) -> BigInt {
         match &self.0 {
-            Small { num, den } => BigInt::from((*num as i128).div_euclid(*den as i128) as i64),
-            Big { num, den } => {
-                let (q, r) = num.div_rem(&BigInt::from(den.clone()));
+            Small { num, den } => {
+                BigInt::from((*num as i128).div_euclid(den.get() as i128) as i64)
+            }
+            Big(big) => {
+                let num = &big.num;
+                let (q, r) = num.div_rem(&BigInt::from(big.den.clone()));
                 if num.is_negative() && !r.is_zero() {
                     q - BigInt::one()
                 } else {
@@ -420,8 +434,8 @@ impl Rational {
         match &self.0 {
             // Each part rounds to nearest, as the limb fold of a one-limb
             // big value does, so both representations convert identically.
-            Small { num, den } => *num as f64 / *den as f64,
-            Big { num, den } => big_ratio_to_f64(num, den),
+            Small { num, den } => *num as f64 / den.get() as f64,
+            Big(big) => big_ratio_to_f64(&big.num, &big.den),
         }
     }
 
@@ -447,6 +461,7 @@ impl Rational {
     /// denominator is not a power of two needs the heap.
     pub(crate) fn small_f64_bounds(&self) -> Option<[f64; 2]> {
         let Small { num, den } = self.0 else { return None };
+        let den = den.get();
         let (n, d) = (num as f64, den as f64);
         let q = n / d;
         if n as i128 == num as i128 && d as u128 == den as u128 {
@@ -662,7 +677,7 @@ impl Ord for Rational {
                 return a.cmp(c);
             }
             // |a|·d < 2¹²⁷, so neither cross product overflows.
-            return (*a as i128 * *d as i128).cmp(&(*c as i128 * *b as i128));
+            return (*a as i128 * d.get() as i128).cmp(&(*c as i128 * b.get() as i128));
         }
         let ((a, b), (c, d)) = (self.to_big(), other.to_big());
         (&a * &BigInt::from(d)).cmp(&(&c * &BigInt::from(b)))
@@ -672,10 +687,10 @@ impl Ord for Rational {
 impl fmt::Display for Rational {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
-            Small { num, den: 1 } => write!(f, "{}", num),
+            Small { num, den } if den.get() == 1 => write!(f, "{}", num),
             Small { num, den } => write!(f, "{}/{}", num, den),
-            Big { num, den } if den.is_one() => write!(f, "{}", num),
-            Big { num, den } => write!(f, "{}/{}", num, den),
+            Big(big) if big.den.is_one() => write!(f, "{}", big.num),
+            Big(big) => write!(f, "{}/{}", big.num, big.den),
         }
     }
 }
@@ -782,6 +797,11 @@ mod tests {
 
     fn r(n: i64, d: i64) -> Rational {
         Rational::from_ratio(n, d)
+    }
+
+    #[test]
+    fn a_rational_is_two_words() {
+        assert_eq!(std::mem::size_of::<Rational>(), 16);
     }
 
     #[test]

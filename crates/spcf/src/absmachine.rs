@@ -257,9 +257,110 @@ enum Frame<'a, L: Clone, A: Clone> {
     If { then: &'a Term, els: &'a Term, env: Env<'a, L, A> },
     /// `score([·])`.
     Score,
-    /// `f(l₁, …, [·], M, …)` — evaluated prefix in `done`, the hole is
-    /// `args[done.len()]`, the suffix is still un-focused.
-    Prim { prim: Prim, args: &'a [Term], done: Vec<L>, env: Env<'a, L, A> },
+    /// `f(l₁, …, [·], M, …)` for the `Term::Prim` node `term` — evaluated
+    /// prefix in `done`, the hole is argument `done.len()`, the suffix is
+    /// still un-focused.
+    Prim { term: &'a Term, done: Prefix<L>, env: Env<'a, L, A> },
+}
+
+/// The evaluated prefix of a primitive application's arguments. Every
+/// primitive is unary or binary, so a frame waiting for an argument holds
+/// at most one literal, and holds it inline: a primitive step allocates
+/// nothing. Keeping the `Term::Prim` node instead of its primitive and
+/// argument slice leaves room for that literal without growing the frame.
+#[derive(Clone)]
+enum Prefix<L> {
+    Empty,
+    One(L),
+    Many(Vec<L>),
+}
+
+impl<L> Prefix<L> {
+    fn as_slice(&self) -> &[L] {
+        match self {
+            Prefix::Empty => &[],
+            Prefix::One(l) => std::slice::from_ref(l),
+            Prefix::Many(ls) => ls,
+        }
+    }
+
+    /// The prefix with `l` appended.
+    fn push(self, l: L) -> Prefix<L> {
+        match self {
+            Prefix::Empty => Prefix::One(l),
+            Prefix::One(first) => Prefix::Many(vec![first, l]),
+            Prefix::Many(mut ls) => {
+                ls.push(l);
+                Prefix::Many(ls)
+            }
+        }
+    }
+
+    /// The complete argument list: the prefix with the last argument `l`.
+    fn finish(self, l: L) -> PrimArgs<L> {
+        PrimArgs(match self {
+            Prefix::Empty => ArgsRepr::One(l),
+            Prefix::One(first) => ArgsRepr::Two([first, l]),
+            Prefix::Many(mut ls) => {
+                ls.push(l);
+                ArgsRepr::Many(ls)
+            }
+        })
+    }
+}
+
+/// The arguments of a primitive application, as [`Event::PrimReady`]
+/// delivers them: a slice through [`Deref`](std::ops::Deref). Up to two
+/// arguments are held inline, which covers every primitive of the
+/// language, so delivering them allocates nothing; a driver that keeps the
+/// arguments (a postponed symbolic application) takes them with
+/// [`into_vec`](PrimArgs::into_vec).
+pub struct PrimArgs<L>(ArgsRepr<L>);
+
+enum ArgsRepr<L> {
+    One(L),
+    Two([L; 2]),
+    Many(Vec<L>),
+}
+
+impl<L> PrimArgs<L> {
+    /// The arguments as a vector.
+    pub fn into_vec(self) -> Vec<L> {
+        match self.0 {
+            ArgsRepr::One(l) => vec![l],
+            ArgsRepr::Two(ls) => Vec::from(ls),
+            ArgsRepr::Many(ls) => ls,
+        }
+    }
+}
+
+impl<L> std::ops::Deref for PrimArgs<L> {
+    type Target = [L];
+    fn deref(&self) -> &[L] {
+        match &self.0 {
+            ArgsRepr::One(l) => std::slice::from_ref(l),
+            ArgsRepr::Two(ls) => ls,
+            ArgsRepr::Many(ls) => ls,
+        }
+    }
+}
+
+impl<L> std::ops::DerefMut for PrimArgs<L> {
+    fn deref_mut(&mut self) -> &mut [L] {
+        match &mut self.0 {
+            ArgsRepr::One(l) => std::slice::from_mut(l),
+            ArgsRepr::Two(ls) => ls,
+            ArgsRepr::Many(ls) => ls,
+        }
+    }
+}
+
+/// The arguments of the `Term::Prim` node `term`.
+fn prim_parts(term: &Term) -> (Prim, &[Term]) {
+    match term {
+        Term::Prim(prim, args) => (*prim, args),
+        _ => unreachable!("a primitive frame holds a Term::Prim node"),
+    }
 }
 
 /// The control: either evaluating a source subterm in an environment, or
@@ -310,7 +411,8 @@ pub enum Event<'a, L: Clone, A: Clone> {
     /// A primitive has all its arguments: resume with the result literal
     /// (counted). The machine does not evaluate primitives itself — constant
     /// folding vs. postponement vs. interval lifting is the domain's call.
-    PrimReady(Prim, Vec<L>),
+    /// The arguments read as a slice and are held inline (see [`PrimArgs`]).
+    PrimReady(Prim, PrimArgs<L>),
     /// A literal reached an `if` guard: resume with a side (counted), or
     /// clone the machine and resume each copy into one side to fork.
     BranchReady(L),
@@ -529,8 +631,9 @@ impl<'a, L: Clone, A: Clone> Machine<'a, L, A> {
                 None => true,
                 Some(Frame::AppArg { .. }) => self.spec.strategy == Strategy::CallByValue,
                 Some(Frame::AppFun { .. }) | Some(Frame::If { .. }) | Some(Frame::Score) => false,
-                Some(Frame::Prim { args, done, .. }) => {
-                    matches!(value, Value::Lit(_)) && done.len() + 1 < args.len()
+                Some(Frame::Prim { term, done, .. }) => {
+                    let arity = prim_parts(term).1.len();
+                    matches!(value, Value::Lit(_)) && done.as_slice().len() + 1 < arity
                 }
             },
         }
@@ -583,19 +686,14 @@ impl<'a, L: Clone, A: Clone> Machine<'a, L, A> {
             }
             Term::Prim(prim, args) => match args.first() {
                 Some(first) => {
-                    self.stack.push(Frame::Prim {
-                        prim: *prim,
-                        args: args.as_slice(),
-                        done: Vec::with_capacity(args.len()),
-                        env: env.clone(),
-                    });
+                    self.stack.push(Frame::Prim { term, done: Prefix::Empty, env: env.clone() });
                     self.control = Some(Control::Eval { term: first, env });
                 }
                 // Nullary applications cannot be written in the surface
                 // syntax; the driver rejects them like the reference does.
                 None => {
                     self.pending = Pending::Lit { counted: true };
-                    return Some(Event::PrimReady(*prim, Vec::new()));
+                    return Some(Event::PrimReady(*prim, PrimArgs(ArgsRepr::Many(Vec::new()))));
                 }
             },
         }
@@ -634,16 +732,17 @@ impl<'a, L: Clone, A: Clone> Machine<'a, L, A> {
                 }
                 other => Some(Event::Stuck(Stuck::NotANumeral(other))),
             },
-            Frame::Prim { prim, args, mut done, env } => match value {
+            Frame::Prim { term, done, env } => match value {
                 Value::Lit(l) => {
-                    done.push(l);
-                    if done.len() == args.len() {
+                    let (prim, args) = prim_parts(term);
+                    let filled = done.as_slice().len() + 1;
+                    if filled == args.len() {
                         self.pending = Pending::Lit { counted: true };
-                        Some(Event::PrimReady(prim, done))
+                        Some(Event::PrimReady(prim, done.finish(l)))
                     } else {
-                        let next = &args[done.len()];
-                        self.stack.push(Frame::Prim { prim, args, done, env: env.clone() });
-                        self.control = Some(Control::Eval { term: next, env });
+                        let done = done.push(l);
+                        self.stack.push(Frame::Prim { term, done, env: env.clone() });
+                        self.control = Some(Control::Eval { term: &args[filled], env });
                         None
                     }
                 }
@@ -712,13 +811,15 @@ impl<'a, L: Clone, A: Clone> Machine<'a, L, A> {
                     Term::ite(term, readback.term(then, env), readback.term(els, env))
                 }
                 Frame::Score => Term::score(term),
-                Frame::Prim { prim, args, done, env } => {
+                Frame::Prim { term: prim_term, done, env } => {
+                    let (prim, args) = prim_parts(prim_term);
+                    let done = done.as_slice();
                     let mut full: Vec<Term> = done.iter().map(term_of_lit).collect();
                     full.push(term);
                     for arg in &args[done.len() + 1..] {
                         full.push(readback.term(arg, env));
                     }
-                    Term::Prim(*prim, full)
+                    Term::Prim(prim, full)
                 }
             };
         }

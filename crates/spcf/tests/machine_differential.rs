@@ -125,3 +125,49 @@ fn fix_frames_match_reference_at_every_budget() {
         }
     }
 }
+
+/// Terms whose primitive frames hold an evaluated prefix while a later
+/// argument is still a `sample` or a redex: nested unary and binary
+/// primitives, non-commutative ones among them, so an argument read back
+/// out of order changes the result or the residual.
+fn prim_frames() -> Vec<Term> {
+    [
+        "(fix phi x. if sample <= 1/2 then x else phi (min(x + sample, abs(x - 1)) + 1)) 0",
+        "max((lam y. y * 2) sample, floor(sample + (lam z. z + 1) 1)) \
+         - neg(sample * (lam w. w) sample)",
+        "(fix phi x. if max(sample - 1/2, neg(x)) <= 0 then x else \
+         phi (x - min(sample, (lam u. u * u) sample))) 1",
+        "(lam a. a - (lam b. b * sample - a) 2) (sample - 1/3)",
+        "abs(floor(3 * sample) - (lam k. k - sample) 1) - max(neg(sample), sample - 1)",
+        "min((lam x. x) sample - 1, lam x. x)",
+    ]
+    .iter()
+    .map(|src| probterm_spcf::parse_term(src).expect("prim-frame terms parse"))
+    .collect()
+}
+
+/// Machine ≡ reference on the prim-frame terms, both strategies, at every
+/// budget up to 60 steps under three traces: every cut between two
+/// arguments reads the frame's inline prefix back into the residual.
+#[test]
+fn prim_frames_match_reference_at_every_budget() {
+    let traces: [Vec<(i64, i64)>; 3] = [
+        vec![(1, 4); 40],
+        vec![(3, 4); 40],
+        (0..40).map(|i| if i % 3 == 0 { (1, 5) } else { (9, 10) }).collect(),
+    ];
+    for (index, term) in prim_frames().iter().enumerate() {
+        for ratios in &traces {
+            for budget in 0..=60 {
+                for strategy in [Strategy::CallByName, Strategy::CallByValue] {
+                    let (machine, reference) = run_both(strategy, term, ratios, budget);
+                    assert_eq!(
+                        machine, reference,
+                        "{strategy:?} diverged on prim-frame term #{index} at budget {budget} \
+                         trace {ratios:?}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -47,6 +47,25 @@ cargo test --release -q --offline -p probterm-numerics || status=$?
 section "perfbench build and tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml || status=$?
 
+# The exact Table 1 and nonlinear bounds: `perfbench --record` recomputes
+# each reference line in process, and any difference from the committed
+# `perfbench/expected/*.txt` fails CI. The check only reads those files.
+section "perfbench exact bounds"
+if cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml; then
+    for workload in table1 nonlinear; do
+        if diff <(perfbench/target/release/perfbench --record "$workload") \
+            "perfbench/expected/$workload.txt"; then
+            echo "bounds ok: $workload matches perfbench/expected/$workload.txt"
+        else
+            echo "bounds FAILED: $workload differs from perfbench/expected/$workload.txt"
+            status=1
+        fi
+    done
+else
+    echo "bounds FAILED: perfbench did not build"
+    status=1
+fi
+
 # ---------------------------------------------------------------------------
 # Differential suites: the environment machine vs. the substitution-based
 # reference steppers, for the concrete evaluator and for symbolic
