@@ -402,9 +402,15 @@ impl ResultCache {
 /// `{"bound": "<exact rational>", "work_ms": N}`) and the payload, whose
 /// `checkpoint` field a partial `lower` entry resumes from. Loading rejects
 /// a partial whose bound lies outside [0, 1], or whose checkpoint is
-/// malformed or holds a mass other than its bound. Bump the stamp when the
-/// entry schema changes.
-pub const CACHE_SNAPSHOT_VERSION: &str = "probterm-cache-v2";
+/// malformed or holds a mass other than its bound.
+///
+/// The stamp names two revisions: the entry schema (`v3`) and the engines
+/// that computed the payloads (`engine-N`). Bump the schema when the line
+/// format changes, and the engine revision whenever a bound, verdict or
+/// `papprox` the engines compute changes, so that no snapshot keeps serving
+/// results the current engines would not give; the test
+/// `the_stamp_pins_the_engines_results` fails until it is bumped.
+pub const CACHE_SNAPSHOT_VERSION: &str = "probterm-cache-v3-engine-1";
 
 fn render_snapshot_line(key: &CacheKey, entry: &Entry) -> String {
     let status = match &entry.status {
@@ -746,5 +752,46 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(get(&mut cache, &key(1, "")), None);
         assert_eq!(cache.misses(), 1);
+    }
+
+    /// The engine revision in [`CACHE_SNAPSHOT_VERSION`] is pinned to a
+    /// digest of the catalogue's exact `lower` bounds, its `verify` verdicts
+    /// and `papprox`, and a transcendental guard whose bound was once
+    /// unsound. A change to the engines that moves any of them fails here
+    /// until the revision is bumped together with the digest.
+    #[test]
+    fn the_stamp_pins_the_engines_results() {
+        use probterm_core::astver::verify_ast;
+        use probterm_core::intervalsem::{lower_bound, LowerBoundConfig};
+        use probterm_core::spcf::{catalog, parse_term};
+        use std::fmt::Write as _;
+        let mut programs: Vec<(String, _)> = catalog::table1_benchmarks()
+            .into_iter()
+            .chain(catalog::table2_benchmarks())
+            .map(|b| (b.name, b.term))
+            .collect();
+        let log_guard = "if log (1 + 3/9007199254740992 + sample * 3/9007199254740992) \
+                         <= 7/18014398509481984 then (fix f x. f x) 0 else 0";
+        programs.push(("log guard".into(), parse_term(log_guard).expect("parses")));
+        let config = LowerBoundConfig::default().with_depth(40);
+        let mut results = String::new();
+        for (name, term) in &programs {
+            let lower = lower_bound(term, &config).probability;
+            let verdict = match verify_ast(term) {
+                Ok(v) => format!("{} {}", v.verified_ast, v.papprox),
+                Err(e) => e.to_string(),
+            };
+            let _ = writeln!(results, "{name}: {lower} | {verdict}");
+        }
+        // 64-bit FNV-1a: stable across toolchains, unlike `DefaultHasher`.
+        let digest = results.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(
+            (CACHE_SNAPSHOT_VERSION, digest),
+            ("probterm-cache-v3-engine-1", 0x2c30_5bb9_c68f_2353),
+            "the engines' results moved: bump the engine revision in CACHE_SNAPSHOT_VERSION \
+             and pin the new digest\n{results}"
+        );
     }
 }

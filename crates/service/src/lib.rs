@@ -8,9 +8,10 @@
 //!
 //! * **wire protocol** ([`protocol`]): newline-delimited JSON over stdio or
 //!   `std::net` TCP, with structured machine-readable error replies,
-//! * **event-driven transport** ([`server`]): one nonblocking
-//!   readiness-polled loop owns every connection's reads and writes (no
-//!   thread per connection), framing lines into **one FIFO job queue** that
+//! * **event-driven transport** ([`server`]): one loop that blocks in
+//!   `poll(2)` owns every connection's reads — the TCP clients, or stdin in
+//!   stdio mode — with no thread per connection and no timed wakeups but
+//!   the next idle deadline, framing lines into **one FIFO job queue** that
 //!   the worker threads block on,
 //! * **single-flight coalescing** ([`server`]): identical in-flight engine
 //!   requests attach as waiters to the first run instead of enqueueing;
@@ -29,8 +30,8 @@
 //!   via the `stats` op); entries are typed — complete, or a partial with
 //!   its exact bound — and a partial never displaces a higher bound; with
 //!   `--cache-path` the cache additionally survives restarts via a
-//!   version-stamped, atomically-rewritten JSONL snapshot loaded (and
-//!   validated) at boot and persisted on graceful drain,
+//!   JSONL snapshot stamped with its schema and engine revision, loaded
+//!   (and validated) at boot and atomically rewritten on graceful drain,
 //! * **telemetry** ([`metrics`]): every request is timed in phases (queue
 //!   wait, cache lookup, engine run, serialization) on monotonic clocks into
 //!   log-bucketed latency histograms; the `stats` op reports per-op
@@ -46,7 +47,8 @@
 //!   (`--inject`) for chaos testing.
 //!
 //! Everything is std-only: like the rest of the workspace, the crate builds
-//! offline with path-only dependencies.
+//! offline with path-only dependencies (`poll(2)` is declared against the
+//! libc std already links).
 //!
 //! # Example (in-process)
 //!

@@ -1,14 +1,13 @@
 //! The analysis server: shared state, request dispatch, a worker thread
 //! pool, and NDJSON serving over stdio and TCP.
 //!
-//! Architecture: a single **event-loop thread** owns every TCP connection —
-//! the listener and all accepted sockets are nonblocking, and each poll
-//! round accepts new connections, drains readable sockets into
-//! per-connection buffers, frames complete lines and routes them (std-only:
-//! no `libc` poll, just `set_nonblocking` plus adaptive spin/yield/park
-//! between empty rounds). Routed lines land on **one FIFO job queue**, and
-//! `workers` pool threads block on it until a job arrives or the queue is
-//! closed and empty. Replies are written to the originating
+//! Architecture: a single **event-loop thread** owns every connection — the
+//! TCP clients of a listener, or stdin in stdio mode. Each round blocks in
+//! `poll(2)`, accepts when the listener is ready, reads once from each ready
+//! connection, and frames and routes complete lines; its only timed wakeup
+//! is the next idle-timeout deadline. Routed lines land on **one FIFO job
+//! queue**, and `workers` pool threads block on it until a job arrives or
+//! the queue is closed and empty. Replies are written to the originating
 //! stream under a per-stream mutex by the worker that produced them (writes
 //! on the nonblocking socket retry `WouldBlock` with a bounded patience,
 //! then hard-close). All analyses go through the content-addressed
@@ -56,7 +55,7 @@
 //! error carrying `retry_after_ms` instead of letting the request rot in the
 //! queue. Control ops (`stats`, `metrics`, `inspect`, `shutdown`,
 //! `catalog`) are never shed — they matter most under load. On shutdown the
-//! server drains gracefully: the accept loop stops, in-flight engine runs
+//! server drains gracefully: the serve loop stops, in-flight engine runs
 //! observe the draining flag through their budget checks and checkpoint to
 //! the cache, and the workers exit once the queue is empty. A deterministic
 //! fault-injection harness ([`crate::inject`], CLI `--inject`) can make
@@ -79,9 +78,11 @@ use probterm_core::spcf::{
 use probterm_core::{try_analyze_budgeted, AnalysisConfig};
 use serde::Value;
 use std::collections::HashMap;
-use std::fs;
-use std::io::{self, BufRead, Read, Write};
+use std::fs::{self, File};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsFd, AsRawFd, OwnedFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -251,6 +252,10 @@ pub struct ServerState {
     /// spelling suffices. Bounded by
     /// [`KEY_MEMO_CAPACITY`]; cleared wholesale when full.
     key_memo: Mutex<HashMap<String, u128>>,
+    /// The serve loop polls `wake_rx`; [`ServerState::request_shutdown`]
+    /// writes a byte to the nonblocking `wake_tx`.
+    wake_rx: UnixStream,
+    wake_tx: UnixStream,
 }
 
 /// Entry cap for [`ServerState::key_memo`]; at the protocol's 64 KiB
@@ -293,6 +298,8 @@ impl ServerState {
         trace: Option<TraceSink>,
         slow: Option<TraceSink>,
     ) -> ServerState {
+        let (wake_rx, wake_tx) = UnixStream::pair().expect("create the serve loop's wake pair");
+        wake_tx.set_nonblocking(true).expect("make the wake pair nonblocking");
         ServerState {
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             config,
@@ -322,7 +329,16 @@ impl ServerState {
             cache_persist_saved: AtomicU64::new(0),
             cache_persist_rejected: AtomicU64::new(0),
             key_memo: Mutex::new(HashMap::new()),
+            wake_rx,
+            wake_tx,
         }
+    }
+
+    /// Sets the shutdown flag, then wakes a serve loop blocked in `poll`
+    /// (the byte is never read; a full pair is readable already).
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = (&self.wake_tx).write(&[1]);
     }
 
     /// The canonical key of `source`, via [`ServerState::key_memo`]:
@@ -661,7 +677,7 @@ pub fn handle_line_frames(
 ) -> Option<String> {
     let outcome = process_line(state, line, 0, frames, None);
     if outcome.shutdown {
-        state.shutdown.store(true, Ordering::SeqCst);
+        state.request_shutdown();
     }
     outcome.reply
 }
@@ -1614,14 +1630,6 @@ trait ReplySink: Write + Send {
 
 impl ReplySink for io::Stdout {}
 
-impl ReplySink for io::Sink {}
-
-impl ReplySink for std::net::TcpStream {
-    fn abort(&mut self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-}
-
 type SharedWriter = Arc<Mutex<Box<dyn ReplySink>>>;
 
 /// The reply side of one event-loop connection: a *nonblocking*
@@ -1680,6 +1688,192 @@ fn refuse_conn(state: &ServerState, mut stream: TcpStream, max_conns: usize) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.write_all(line.as_bytes());
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// `struct pollfd` of `<poll.h>`; `poll(2)` itself comes from the libc that
+/// std already links.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+}
+
+impl PollFd {
+    /// Asks for `POLLIN`; `POLLHUP`, `POLLERR` and `POLLNVAL` are reported
+    /// regardless, so any `revents` means a `read` will not block.
+    fn readable(fd: &impl AsRawFd) -> PollFd {
+        PollFd { fd: fd.as_raw_fd(), events: POLLIN, revents: 0 }
+    }
+}
+
+/// Blocks until a descriptor in `fds` is ready or `timeout` has passed
+/// (`None` waits forever); a signal just ends the wait early.
+fn poll_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+    // Rounded up: a deadline 0.4 ms away must not become a busy 0 ms poll.
+    let ms = timeout
+        .map_or(-1, |t| i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX));
+    // SAFETY: `fds` is an exclusively borrowed array of `pollfd`s and `nfds`
+    // is its length; `poll` writes only their `revents` fields.
+    if unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ms) } < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+/// One connection of the serve loop: a TCP client, or stdin. Either is read
+/// through a plain `File`, and only once `poll` reports it ready.
+struct Conn {
+    input: File,
+    out: SharedWriter,
+    buf: Vec<u8>,
+    last_activity: Instant,
+    closed: bool,
+}
+
+impl Conn {
+    fn new(input: impl Into<OwnedFd>, out: SharedWriter) -> Conn {
+        let input = File::from(input.into());
+        Conn { input, out, buf: Vec::new(), last_activity: Instant::now(), closed: false }
+    }
+
+    /// One `read` into the buffer, then routes every complete line; at end
+    /// of input an unterminated last line counts too. A read error closes
+    /// the connection and is returned.
+    fn read_and_route(&mut self, state: &ServerState, jobs: &mpsc::Sender<Job>) -> io::Result<()> {
+        let mut chunk = [0u8; 4096];
+        match self.input.read(&mut chunk) {
+            Ok(0) => {
+                self.closed = true;
+                if !self.buf.is_empty() {
+                    self.buf.push(b'\n');
+                }
+            }
+            Ok(n) => {
+                self.last_activity = Instant::now();
+                self.buf.extend_from_slice(&chunk[..n]);
+            }
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => {}
+            Err(e) => {
+                self.closed = true;
+                return Err(e);
+            }
+        }
+        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+            let raw: Vec<u8> = self.buf.drain(..=pos).collect();
+            let line = String::from_utf8_lossy(&raw[..pos]).trim_end_matches('\r').to_string();
+            self.closed |= !route_or_enqueue(state, jobs, line, &self.out);
+        }
+        Ok(())
+    }
+}
+
+/// Accepts every pending connection: one over [`ServerConfig::max_conns`]
+/// is refused, the others join `conns` as nonblocking sockets.
+fn accept_pending(
+    state: &ServerState,
+    listener: &TcpListener,
+    conns: &mut Vec<Conn>,
+) -> io::Result<()> {
+    let max_conns = state.config.max_conns.max(1);
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if conns.len() >= max_conns {
+            refuse_conn(state, stream, max_conns);
+            continue;
+        }
+        // The accepted socket may or may not inherit the listener's
+        // O_NONBLOCK; make it explicit.
+        if stream.set_nonblocking(true).is_err() {
+            continue;
+        }
+        let _ = stream.set_nodelay(true);
+        let Ok(writer) = stream.try_clone() else { continue };
+        let out: SharedWriter = Arc::new(Mutex::new(Box::new(NbWriter { stream: writer })));
+        conns.push(Conn::new(stream, out));
+    }
+}
+
+/// The one serve loop: [`Server::serve_listener`] passes its listener,
+/// [`Server::serve_stdio`] no listener and stdin as the one connection.
+/// Idle timeouts and the connection cap apply to TCP only. It ends on
+/// `shutdown` (whose worker wakes it through the wake pair), a fatal accept
+/// or poll error, or, in stdio mode, the end of stdin.
+fn serve_loop(
+    state: &Arc<ServerState>,
+    listener: Option<TcpListener>,
+    mut conns: Vec<Conn>,
+) -> io::Result<()> {
+    let (jobs, workers) = spawn_workers(state);
+    let idle_limit = listener.as_ref().and(state.config.idle_timeout_ms).map(Duration::from_millis);
+    let first_conn = 1 + usize::from(listener.is_some());
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut fatal: Option<io::Error> = None;
+    // Without a listener the loop serves stdin until it closes.
+    while fatal.is_none()
+        && !state.shutdown_requested()
+        && (listener.is_some() || !conns.is_empty())
+    {
+        fds.clear();
+        fds.push(PollFd::readable(&state.wake_rx));
+        fds.extend(listener.iter().map(PollFd::readable));
+        fds.extend(conns.iter().map(|conn| PollFd::readable(&conn.input)));
+        let timeout = idle_limit
+            .and_then(|limit| conns.iter().map(|conn| conn.last_activity + limit).min())
+            .map(|deadline| deadline.saturating_duration_since(Instant::now()));
+        if let Err(e) = poll_ready(&mut fds, timeout) {
+            fatal = Some(e);
+            break;
+        }
+        for (conn, fd) in conns.iter_mut().zip(&fds[first_conn..]) {
+            if fd.revents != 0 {
+                // A socket error only loses its client; a stdin error ends
+                // the serve.
+                if let (Err(e), None) = (conn.read_and_route(state, &jobs), &listener) {
+                    fatal = Some(e);
+                }
+            }
+            let idle = idle_limit.is_some_and(|limit| conn.last_activity.elapsed() >= limit);
+            if idle && !conn.closed {
+                // A structured close instead of a silent hangup.
+                idle_close(state, &conn.out);
+                conn.closed = true;
+            }
+        }
+        conns.retain(|conn| !conn.closed);
+        if let Some(listener) = listener.as_ref().filter(|_| fds[1].revents != 0) {
+            fatal = accept_pending(state, listener, &mut conns).err();
+        }
+    }
+    // Dropping the queue's only sender lets the workers run everything
+    // queued and in flight, then exit; the snapshot is then written for the
+    // next boot. End of stdin only means no more requests, so every run
+    // completes. After `shutdown`, and at every end of a TCP serve, the
+    // draining flag is set first, so the engines' budget checks cut every
+    // run short and checkpoint it.
+    if listener.is_some() || state.shutdown_requested() {
+        state.draining.store(true, Ordering::SeqCst);
+    }
+    drop(jobs);
+    for worker in workers {
+        let _ = worker.join();
+    }
+    state.persist_cache_snapshot()?;
+    fatal.map_or(Ok(()), Err)
 }
 
 struct Job {
@@ -1892,7 +2086,7 @@ fn idle_close(state: &ServerState, out: &SharedWriter) {
     }
 }
 
-/// The step both serve loops take for each framed line: route it
+/// The step the serve loop takes for each framed line: route it
 /// ([`route_line`]), then write the inline reply, leave a coalesced request
 /// to its leader, or enqueue the line — keeping the queued-jobs gauge (the
 /// admission-control input) in sync. Returns `false` when the pool is gone.
@@ -1928,33 +2122,11 @@ fn route_or_enqueue(
     true
 }
 
-/// How both serve loops end once they stop taking input: dropping the
-/// queue's only sender lets the workers run everything queued and in
-/// flight, then exit; the cache snapshot is then written for the next boot.
-/// With `checkpoint` (after a `shutdown` request) the draining flag is set
-/// first, so the engines' budget checks cut every run short and checkpoint
-/// it; without it (stdin closed) every run completes.
-fn drain(
-    state: &ServerState,
-    jobs: mpsc::Sender<Job>,
-    workers: Vec<thread::JoinHandle<()>>,
-    checkpoint: bool,
-) -> io::Result<()> {
-    if checkpoint {
-        state.draining.store(true, Ordering::SeqCst);
-    }
-    drop(jobs);
-    for worker in workers {
-        let _ = worker.join();
-    }
-    state.persist_cache_snapshot().map(drop)
-}
-
 /// Starts [`ServerConfig::workers`] threads on one FIFO job queue. Each
 /// worker blocks in `recv` under the receiver's lock, which it holds only
 /// while waiting for a job, never while running one. `recv` fails only once
-/// [`drain`] has dropped the sender *and* the queue is empty, so every queued
-/// job is served before the workers exit.
+/// [`serve_loop`] has dropped the sender *and* the queue is empty, so every
+/// queued job is served before the workers exit.
 fn spawn_workers(state: &Arc<ServerState>) -> (mpsc::Sender<Job>, Vec<thread::JoinHandle<()>>) {
     let (jobs, queue) = mpsc::channel::<Job>();
     let queue = Arc::new(Mutex::new(queue));
@@ -2000,9 +2172,9 @@ fn run_job(state: &ServerState, job: Job) {
         None => {}
     }
     // The flag is set only after the reply is flushed, so a `shutdown` reply
-    // is on the wire before the accept loop can exit.
+    // is on the wire before the serve loop can exit.
     if outcome.shutdown {
-        state.shutdown.store(true, Ordering::SeqCst);
+        state.request_shutdown();
     }
 }
 
@@ -2027,11 +2199,11 @@ impl RunningServer {
         &self.state
     }
 
-    /// Waits for the accept loop to exit (i.e. for a `shutdown` request).
+    /// Waits for the serve loop to exit (i.e. for a `shutdown` request).
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop I/O errors.
+    /// Propagates serve-loop I/O errors.
     pub fn join(self) -> io::Result<()> {
         self.handle.join().unwrap_or_else(|_| {
             Err(io::Error::other("server thread panicked"))
@@ -2091,218 +2263,44 @@ impl Server {
     }
 
     /// Serves newline-delimited JSON over stdin/stdout until EOF or a
-    /// `shutdown` request, dispatching to the worker pool. Replies may
-    /// interleave out of request order; clients correlate by `id`. At EOF
-    /// every queued request still runs to completion before this returns;
-    /// after `shutdown` queued and running engine requests checkpoint.
+    /// `shutdown` request: stdin is the one connection of the event loop
+    /// [`Server::serve_listener`] runs. At EOF every queued request still
+    /// runs to completion before this returns; after `shutdown` queued and
+    /// running engine requests checkpoint.
     ///
     /// # Errors
     ///
-    /// Propagates stdin read errors.
+    /// Propagates stdin read, `poll` and snapshot-persist errors.
     pub fn serve_stdio(&self) -> io::Result<()> {
-        let (jobs, workers) = spawn_workers(&self.state);
-        let out: SharedWriter = Arc::new(Mutex::new(Box::new(io::stdout())));
-        // Read stdin on a helper thread: a blocked `read_line` cannot be
-        // interrupted portably, so the serving loop polls the shutdown flag
-        // between received lines instead. After a `shutdown` request the
-        // reader thread may stay parked in its final read; it is detached and
-        // dies with the process, which exits as soon as this returns.
-        let (line_sender, line_receiver) = mpsc::channel::<io::Result<String>>();
-        thread::Builder::new()
-            .name("probterm-stdin".into())
-            .spawn(move || {
-                for line in io::stdin().lock().lines() {
-                    let failed = line.is_err();
-                    if line_sender.send(line).is_err() || failed {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn stdin reader thread");
-        let mut read_error = None;
-        while !self.state.shutdown_requested() {
-            match line_receiver.recv_timeout(Duration::from_millis(25)) {
-                Ok(Ok(line)) => {
-                    if !route_or_enqueue(&self.state, &jobs, line, &out) {
-                        break;
-                    }
-                }
-                Ok(Err(e)) => {
-                    read_error = Some(e);
-                    break;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // End of input only means no more requests: what is queued still
-        // runs to completion. A `shutdown` request checkpoints instead.
-        drain(&self.state, jobs, workers, self.state.shutdown_requested())?;
-        read_error.map_or(Ok(()), Err)
+        // An unbuffered handle of its own: a buffered reader would hide
+        // bytes from `poll`.
+        let stdin = io::stdin().as_fd().try_clone_to_owned()?;
+        let stdout: SharedWriter = Arc::new(Mutex::new(Box::new(io::stdout())));
+        serve_loop(&self.state, None, vec![Conn::new(stdin, stdout)])
     }
 
     /// Serves newline-delimited JSON over TCP until a `shutdown` request,
-    /// with a single readiness-polled nonblocking event loop owning *all*
-    /// connection reads — no thread per connection, so thousands of open
-    /// sockets cost per-connection buffers, not stacks.
+    /// from one event loop that owns every connection's reads — no thread
+    /// per connection. Each round blocks in `poll(2)`, reads once from every
+    /// ready socket, frames complete lines and routes them (answer inline,
+    /// coalesce, shed or enqueue), accepts pending connections (refusing
+    /// over [`ServerConfig::max_conns`] with a structured `overloaded`
+    /// line) and reaps idle ones. An idle loop sleeps in `poll` until the
+    /// next [`ServerConfig::idle_timeout_ms`] deadline, or for good. Replies
+    /// go out on the request's connection, possibly out of request order.
     ///
-    /// Each poll round accepts pending connections (refusing over
-    /// [`ServerConfig::max_conns`] with a structured `overloaded` line),
-    /// drains every readable socket into its per-connection buffer, frames
-    /// complete lines and routes them (coalesce / shed / enqueue), and
-    /// reaps idle connections. Replies go out on the same
-    /// connection the request came in on, possibly out of request order.
-    /// The loop spins with `yield_now` while traffic flows, polls at the
-    /// platform's nanosleep floor through short gaps, and backs off to 1 ms
-    /// sleeps after ~20 ms of silence so long engine runs keep the core — a
-    /// std-only readiness poll with no OS selector.
-    ///
-    /// After shutdown the loop stops and the server drains gracefully:
-    /// workers finish (or checkpoint, via the draining flag the engine
-    /// budget checks observe) everything already queued before the pool is
-    /// torn down, then the cache snapshot is persisted; lines a
-    /// still-connected client sends *after* the drain completes are not
-    /// processed.
+    /// After shutdown the loop stops and the server drains: workers finish
+    /// (or checkpoint, via the draining flag) everything already queued,
+    /// then the cache snapshot is persisted; lines a still-connected client
+    /// sends after that are not processed.
     ///
     /// # Errors
     ///
     /// Propagates accept errors (other than transient would-block/
-    /// interrupted) and snapshot-persist errors.
+    /// interrupted), `poll` errors and snapshot-persist errors.
     pub fn serve_listener(&self, listener: TcpListener) -> io::Result<()> {
-        struct Conn {
-            stream: TcpStream,
-            out: SharedWriter,
-            buf: Vec<u8>,
-            last_activity: Instant,
-            closed: bool,
-        }
         listener.set_nonblocking(true)?;
-        let (jobs, workers) = spawn_workers(&self.state);
-        let max_conns = self.state.config.max_conns.max(1);
-        let idle_limit = self.state.config.idle_timeout_ms.map(Duration::from_millis);
-        let mut conns: Vec<Conn> = Vec::new();
-        let mut idle_rounds: u32 = 0;
-        let mut fatal: Option<io::Error> = None;
-        let mut chunk = [0u8; 4096];
-        while !self.state.shutdown_requested() && fatal.is_none() {
-            let mut progressed = false;
-            // Accept burst: take everything pending, then move on.
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        progressed = true;
-                        if conns.len() >= max_conns {
-                            refuse_conn(&self.state, stream, max_conns);
-                            continue;
-                        }
-                        // The accepted socket may or may not inherit the
-                        // listener's O_NONBLOCK; make it explicit.
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        let out: SharedWriter =
-                            Arc::new(Mutex::new(Box::new(NbWriter { stream: writer })));
-                        conns.push(Conn {
-                            stream,
-                            out,
-                            buf: Vec::new(),
-                            last_activity: Instant::now(),
-                            closed: false,
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        fatal = Some(e);
-                        break;
-                    }
-                }
-            }
-            // Read burst: drain every readable connection, frame and route
-            // complete lines.
-            for conn in &mut conns {
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.closed = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            progressed = true;
-                            conn.last_activity = Instant::now();
-                            conn.buf.extend_from_slice(&chunk[..n]);
-                            if n < chunk.len() {
-                                // Short read: the socket buffer is drained,
-                                // so the next read would only report
-                                // would-block — skip that syscall. Anything
-                                // arriving in the gap is picked up next
-                                // round like any other readiness poll.
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn.closed = true;
-                            break;
-                        }
-                    }
-                }
-                while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-                    let raw: Vec<u8> = conn.buf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&raw[..pos])
-                        .trim_end_matches('\r')
-                        .to_string();
-                    if !route_or_enqueue(&self.state, &jobs, line, &conn.out) {
-                        conn.closed = true;
-                    }
-                }
-                if !conn.closed {
-                    if let Some(limit) = idle_limit {
-                        if conn.last_activity.elapsed().as_millis() >= limit.as_millis() {
-                            // Idle read timeout: a structured close instead
-                            // of a silent hangup.
-                            idle_close(&self.state, &conn.out);
-                            conn.closed = true;
-                        }
-                    }
-                }
-            }
-            conns.retain(|conn| !conn.closed);
-            // Adaptive pacing. A handful of yields first: right after a
-            // reply burst the clients are runnable and turn the next request
-            // around within microseconds, and `yield_now` donates the core
-            // to them without paying the platform's sleep floor (~80 µs of
-            // timer slack per nanosleep here). The window is deliberately
-            // small — long yield spins on a loaded single core burn whole
-            // timeslices the workers need. Past it, park in escalating
-            // sleeps: a genuinely idle loop converges to millisecond polls.
-            if progressed {
-                idle_rounds = 0;
-            } else {
-                idle_rounds = idle_rounds.saturating_add(1);
-                if idle_rounds < 64 {
-                    thread::yield_now();
-                } else if idle_rounds < 320 {
-                    // The nominal duration is a fiction: a 1 µs nanosleep
-                    // lands at the platform's timer-slack floor (~80 µs
-                    // here), which is the real point — deschedule so the
-                    // clients run, for the shortest interval the OS sells.
-                    // This tier covers ~20 ms of silence; past that the
-                    // socket is genuinely quiet (a long engine run is in
-                    // flight, or nobody is talking) and the wakeups would
-                    // only steal cycles from the worker, so fall through
-                    // to millisecond polls.
-                    thread::sleep(Duration::from_micros(1));
-                } else {
-                    thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
-        drain(&self.state, jobs, workers, true)?;
-        fatal.map_or(Ok(()), Err)
+        serve_loop(&self.state, Some(listener), Vec::new())
     }
 
     /// Binds `addr` and serves it on a background thread; returns the bound
@@ -2327,6 +2325,8 @@ mod tests {
     use super::*;
     use probterm_core::intervalsem::ReplaySeed;
     use probterm_core::numerics::Rational;
+
+    impl ReplySink for io::Sink {}
 
     fn server() -> Server {
         Server::new(ServerConfig { workers: 1, ..Default::default() })

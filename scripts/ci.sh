@@ -583,15 +583,17 @@ fi
 
 # ---------------------------------------------------------------------------
 # Persistence smoke test: a `--cache-path` server computes a result, writes
-# its snapshot on graceful shutdown under the `probterm-cache-v2` stamp, and a
-# freshly-booted server on the same path must load it without rejections and
-# answer the identical request as a cache hit without an engine run.
+# its snapshot on graceful shutdown under the `probterm-cache-v3-engine-1`
+# stamp, and a freshly-booted server on the same path must load it without
+# rejections and answer the identical request as a cache hit without an
+# engine run. A snapshot restamped `probterm-cache-v2` (an older engine's)
+# must then be rejected wholesale, so the request is computed afresh.
 section "persistence smoke test"
 persist_status=0
 if [ -x target/release/probterm ]; then
     cache_file=$(mktemp -u /tmp/probterm-cache.XXXXXX.jsonl)
     persist_request='{"id":1,"op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":35}'
-    persist_round() { # persist_round <port> <required-substring> <label> [check-stats]
+    persist_round() { # persist_round <port> <required-substring> <label> [loaded|stale]
         local reply stats
         if ! exec 3<>"/dev/tcp/127.0.0.1/$1"; then
             echo "persist FAILED: cannot connect ($3)"
@@ -610,7 +612,14 @@ if [ -x target/release/probterm ]; then
         if [ -n "${4:-}" ]; then
             printf '%s\n' '{"id":3,"op":"stats"}' >&3
             IFS= read -r -t 30 stats <&3 || stats=""
-            if printf '%s' "$stats" | grep -Eq '"cache_persist_loaded":[1-9]' &&
+            if [ "$4" = stale ]; then
+                if printf '%s' "$stats" | grep -q '"cache_persist_rejected":1[,}]'; then
+                    echo "persist ok: stale snapshot rejected once"
+                else
+                    echo "persist FAILED: stale snapshot counters: $stats"
+                    persist_status=1
+                fi
+            elif printf '%s' "$stats" | grep -Eq '"cache_persist_loaded":[1-9]' &&
                 printf '%s' "$stats" | grep -q '"cache_persist_rejected":0[,}]'; then
                 echo "persist ok: snapshot loaded with no rejected lines"
             else
@@ -622,54 +631,43 @@ if [ -x target/release/probterm ]; then
         IFS= read -r -t 30 _ <&3 || true
         exec 3>&- 3<&-
     }
-    p_port=$((21000 + RANDOM % 20000))
-    target/release/probterm serve --addr "127.0.0.1:$p_port" --workers 1 \
-        --cache-path "$cache_file" &
-    p_pid=$!
-    for _ in $(seq 1 100); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$p_port") 2>/dev/null; then
-            exec 3>&- 3<&-
-            break
+    persist_serve() { # persist_serve <required-substring> <label> [loaded|stale]
+        local p_port p_pid
+        p_port=$((21000 + RANDOM % 20000))
+        target/release/probterm serve --addr "127.0.0.1:$p_port" --workers 1 \
+            --cache-path "$cache_file" &
+        p_pid=$!
+        for _ in $(seq 1 100); do
+            if (exec 3<>"/dev/tcp/127.0.0.1/$p_port") 2>/dev/null; then
+                exec 3>&- 3<&-
+                break
+            fi
+            sleep 0.1
+        done
+        persist_round "$p_port" "$@"
+        if wait "$p_pid"; then
+            echo "persist ok: $2: drained gracefully"
+        else
+            echo "persist FAILED: $2: server exited non-zero"
+            persist_status=1
         fi
-        sleep 0.1
-    done
-    persist_round "$p_port" '"cache":"miss"' "cold run computes"
-    if wait "$p_pid"; then
-        echo "persist ok: first server drained gracefully"
-    else
-        echo "persist FAILED: first server exited non-zero"
-        persist_status=1
-    fi
+    }
+    persist_serve '"cache":"miss"' "cold run computes"
     if [ -s "$cache_file" ]; then
         echo "persist ok: snapshot written on drain"
     else
         echo "persist FAILED: no snapshot at $cache_file"
         persist_status=1
     fi
-    if [ "$(head -n 1 "$cache_file" 2>/dev/null)" = "probterm-cache-v2" ]; then
-        echo "persist ok: snapshot stamped probterm-cache-v2"
+    if [ "$(head -n 1 "$cache_file" 2>/dev/null)" = "probterm-cache-v3-engine-1" ]; then
+        echo "persist ok: snapshot stamped probterm-cache-v3-engine-1"
     else
         echo "persist FAILED: snapshot stamp is '$(head -n 1 "$cache_file" 2>/dev/null)'"
         persist_status=1
     fi
-    p_port=$((21000 + RANDOM % 20000))
-    target/release/probterm serve --addr "127.0.0.1:$p_port" --workers 1 \
-        --cache-path "$cache_file" &
-    p_pid=$!
-    for _ in $(seq 1 100); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$p_port") 2>/dev/null; then
-            exec 3>&- 3<&-
-            break
-        fi
-        sleep 0.1
-    done
-    persist_round "$p_port" '"cache":"hit"' "reborn server serves the snapshot" check-stats
-    if wait "$p_pid"; then
-        echo "persist ok: reborn server drained gracefully"
-    else
-        echo "persist FAILED: reborn server exited non-zero"
-        persist_status=1
-    fi
+    persist_serve '"cache":"hit"' "reborn server serves the snapshot" loaded
+    sed -i '1s/.*/probterm-cache-v2/' "$cache_file"
+    persist_serve '"cache":"miss"' "a v2 snapshot is recomputed" stale
     rm -f "$cache_file"
 else
     echo "persist FAILED: target/release/probterm missing (release build failed?)"

@@ -124,3 +124,100 @@ fn stdio_finishes_queued_requests_after_eof() {
         );
     }
 }
+
+#[test]
+fn stdio_shutdown_exits_while_stdin_stays_open() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_probterm"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn probterm serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    writeln!(stdin, r#"{{"id":"bye","op":"shutdown"}}"#).expect("write shutdown");
+    let mut reply = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut reply)
+        .expect("read the shutdown reply");
+    assert!(reply.contains(r#""ok":true"#), "shutdown reply: {reply}");
+    // Stdin stays open: only the shutdown may end the serve loop.
+    let started = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll the child") {
+            break status;
+        }
+        if started.elapsed() > std::time::Duration::from_secs(5) {
+            let _ = child.kill();
+            panic!("serve still running 5 s after its shutdown reply");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    drop(stdin);
+    assert!(status.success(), "serve exited with {status:?}");
+}
+
+/// A `lower` request padded with spaces between its JSON tokens to more
+/// than 4 KiB, so one `read` cannot take the whole line.
+fn long_request_line() -> String {
+    let padding = " ".repeat(5000);
+    format!(
+        r#"{{"id":"long",{padding}"op":"lower","program":"{QUICK_PROGRAM}",{padding}"depth":20}}"#
+    )
+}
+
+/// Checks a reply to [`long_request_line`] against the in-process bound.
+fn assert_long_reply(reply: &str) {
+    let reply: Value = serde_json::from_str(reply.trim_end()).expect("one JSON reply line");
+    assert_eq!(reply.get("id").and_then(Value::as_str), Some("long"), "{reply:?}");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true), "{reply:?}");
+    let expected = lower_bound(
+        &parse_term(QUICK_PROGRAM).expect("the program parses"),
+        &LowerBoundConfig::default().with_depth(20),
+    );
+    assert_eq!(
+        reply.get("result").and_then(|r| r.get("probability")).and_then(Value::as_str),
+        Some(expected.probability.to_decimal_string(10).as_str()),
+        "the served bound is the in-process bound"
+    );
+}
+
+#[test]
+fn request_lines_longer_than_one_read_are_answered_over_stdio_and_tcp() {
+    let line = long_request_line();
+    assert!(line.len() > 4096);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_probterm"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn probterm serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    writeln!(stdin, "{line}").expect("write the long request");
+    let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read the stdio reply");
+    assert_long_reply(&reply);
+    drop(stdin);
+    let status = child.wait().expect("wait for probterm serve");
+    assert!(status.success(), "serve exited with {status:?}");
+
+    let running = probterm_service::Server::new(probterm_service::ServerConfig::default())
+        .spawn_tcp("127.0.0.1:0")
+        .expect("bind loopback");
+    let mut stream = std::net::TcpStream::connect(running.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("set read timeout");
+    writeln!(stream, "{line}").expect("send the long request");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read the TCP reply");
+    assert_long_reply(&reply);
+    writeln!(stream, r#"{{"id":"bye","op":"shutdown"}}"#).expect("send shutdown");
+    reply.clear();
+    reader.read_line(&mut reply).expect("read the shutdown reply");
+    running.join().expect("the server drains cleanly");
+}
