@@ -1,65 +1,52 @@
 //! The analysis server: shared state, request dispatch, a worker thread
 //! pool, and NDJSON serving over stdio and TCP.
 //!
-//! Architecture: a single **event-loop thread** owns every connection — the
-//! TCP clients of a listener, or stdin in stdio mode. Each round blocks in
-//! `poll(2)`, accepts when the listener is ready, reads once from each ready
-//! connection, and frames and routes complete lines; its only timed wakeup
-//! is the next idle-timeout deadline. Routed lines land on **one FIFO job
-//! queue**, and `workers` pool threads block on it until a job arrives or
-//! the queue is closed and empty. Replies are written to the originating
-//! stream under a per-stream mutex by the worker that produced them (writes
-//! on the nonblocking socket retry `WouldBlock` with a bounded patience,
-//! then hard-close). All analyses go through the content-addressed
-//! [`ResultCache`](crate::cache::ResultCache), so α-equivalent resubmissions
-//! are served without re-running an engine.
+//! Request lifecycle: each non-blank line is admitted once (`admit`):
+//! parsed, checked against the server caps and keyed by the canonical hash
+//! of its program plus the analysis and its configuration. A line that
+//! fails admission is answered inline with its structured error and never
+//! takes a queue slot; so is an admitted control op, except `shutdown`,
+//! which a worker answers before it sets the shutdown flag. An admitted
+//! engine request is answered from the content-addressed [`ResultCache`]
+//! when the cache would serve it, joins an identical in-flight run, is
+//! shed, or is queued. A worker re-parses only its program (a `Term` cannot
+//! cross threads) and runs the engine.
 //!
-//! Single-flight coalescing: when a routed engine request's
-//! `(canonical_key, analysis, config)` is already being computed, the
-//! reader registers a **waiter** on the in-flight run instead of enqueueing
-//! a duplicate job; the finishing worker fans the reply (and any streamed
-//! progress frames) out to every waiter. Deadlines diverge soundly: a
-//! waiter whose budget expires mid-run is served the sound partial bound
-//! accumulated so far (from the run's live progress cell), while a waiter
-//! with a *richer* budget upgrades the run's shared deadline so the run
-//! keeps going. The cache can also survive restarts: with
-//! [`ServerConfig::cache_path`] set, a version-stamped length-prefixed
-//! JSONL snapshot is loaded at boot and atomically rewritten on graceful
-//! drain (see [`crate::cache::CACHE_SNAPSHOT_VERSION`]).
+//! Transport: one **event-loop thread** owns every connection — the TCP
+//! clients of a listener, or stdin in stdio mode — blocking in `poll(2)` and
+//! routing each complete line it reads. Queued requests land on **one FIFO
+//! job queue** that `workers` pool threads block on. Replies are written to
+//! the originating stream under a per-stream mutex.
 //!
-//! Deadlines: `deadline_ms` is enforced cooperatively — between Monte-Carlo
-//! chunks for `simulate`, and *inside* the symbolic engines for
-//! `lower`/`verify`/`analyze` (the shared environment machine pauses at every
-//! redex, so the exploration loops poll the deadline mid-run). A `simulate`
-//! or `verify` request that exceeds its budget gets a structured
-//! `budget_exceeded` error; the worker survives and picks up the next job.
-//! A `lower` (or `analyze`) request instead returns the **sound partial
-//! lower bound** accumulated when the deadline struck, marked
-//! `"complete": false` — by Theorem 3.4 every terminated symbolic path
-//! certifies its mass independently, so a truncated exploration only loses
-//! bound mass. Partial results are cached under the same
-//! `(canonical_key, analysis, config)` key: a retry whose budget is
-//! comparable to the engine time the entry burned is an instant hit on the
-//! partial bound, while a meaningfully richer (or unbounded) retry
-//! **resumes** from the entry — partial `lower` payloads embed the
-//! exploration frontier as a replayable checkpoint, so the retry replays
-//! straight to the unexplored subtrees and only pays for new work — and
-//! upgrades the entry. Partials never downgrade a complete entry or a
-//! partial with a higher exact bound.
+//! Single-flight coalescing: a request whose cache key is already being
+//! computed registers as a **waiter** on the in-flight run instead of
+//! enqueueing; the finishing worker fans the reply (and any streamed
+//! progress frames) out to every waiter. A waiter whose deadline expires
+//! mid-run is served the sound partial bound of the run's live progress
+//! cell, and a waiter with a *richer* budget upgrades the run's shared
+//! deadline. With [`ServerConfig::cache_path`] set, the cache survives
+//! restarts as a version-stamped JSONL snapshot (see
+//! [`crate::cache::CACHE_SNAPSHOT_VERSION`]).
 //!
-//! Overload protection: the transport readers run admission control before
-//! enqueueing. When the shared queue is deeper than
-//! [`ServerConfig::queue_depth`], or a request's `deadline_ms` would expire
-//! before the predicted queue wait (queued jobs × the op's p95 engine time ÷
-//! workers), the reader replies immediately with a structured `overloaded`
-//! error carrying `retry_after_ms` instead of letting the request rot in the
-//! queue. Control ops (`stats`, `metrics`, `inspect`, `shutdown`,
-//! `catalog`) are never shed — they matter most under load. On shutdown the
-//! server drains gracefully: the serve loop stops, in-flight engine runs
-//! observe the draining flag through their budget checks and checkpoint to
-//! the cache, and the workers exit once the queue is empty. A deterministic
-//! fault-injection harness ([`crate::inject`], CLI `--inject`) can make
-//! engine runs panic, stall, or drop their reply mid-line for chaos testing.
+//! Deadlines: `deadline_ms` is measured from admission and enforced
+//! cooperatively, between Monte-Carlo chunks and inside the symbolic
+//! engines. An expired `simulate` or `verify` gets `budget_exceeded`; an
+//! expired `lower` (or `analyze`) returns the **sound partial lower bound**
+//! so far, marked `"complete": false` — by Theorem 3.4 every terminated
+//! path certifies its mass independently. Partial results are cached; a
+//! meaningfully richer retry **resumes** from the partial `lower` entry's
+//! exploration checkpoint, and a partial never downgrades a complete entry
+//! or a higher bound.
+//!
+//! Overload protection: an engine request that is neither a hit nor a
+//! joiner is shed with a structured `overloaded` reply carrying
+//! `retry_after_ms` when the queue is deeper than
+//! [`ServerConfig::queue_depth`] or its deadline would expire in the queue;
+//! control ops are never shed. On shutdown the server drains gracefully:
+//! running engines observe the draining flag and checkpoint, and the
+//! workers exit once the queue is empty. A deterministic fault-injection
+//! harness ([`crate::inject`], CLI `--inject`) can make engine runs panic,
+//! stall, or drop their reply mid-line for chaos testing.
 
 use crate::cache::{CacheKey, Entry, EntryStatus, Lookup, ResultCache};
 use crate::inject::{InjectDecision, InjectSpec};
@@ -67,11 +54,14 @@ use crate::metrics::{ops_value, render_prometheus, PhaseTimes, ServiceMetrics};
 use crate::protocol::{
     error_reply, ok_reply, parse_request, progress_frame, ErrorCode, Op, Request, ServiceError,
 };
-use probterm_telemetry::{Gauge, ProgressCell, ProgressSnapshot, SpanTimer, TraceSink};
+use probterm_telemetry::{
+    Gauge, ProgressCell, ProgressSnapshot, SpanTimer, TraceSink, BOUND_SCALE,
+};
 use probterm_core::astver::{try_verify_ast, VerifyError};
 use probterm_core::intervalsem::{
     try_explain, try_lower_bound, ExplainConfig, LowerBoundCheckpoint, LowerBoundConfig, Poll,
 };
+use probterm_core::numerics::Rational;
 use probterm_core::spcf::{
     catalog, parse_term, try_estimate_termination, MonteCarloConfig, Strategy, Term,
 };
@@ -246,10 +236,9 @@ pub struct ServerState {
     cache_persist_saved: AtomicU64,
     cache_persist_rejected: AtomicU64,
     /// Syntactic memo from raw program source to its α-invariant canonical
-    /// key. The transport readers key every engine request (for coalescing
-    /// and the inline hit path), and hot traffic resubmits byte-identical
-    /// sources — parsing is a pure function, so one parse per distinct
-    /// spelling suffices. Bounded by
+    /// key. Admission ([`admit`]) keys every engine request, and hot traffic
+    /// resubmits byte-identical sources — parsing is a pure function, so
+    /// one parse per distinct spelling suffices. Bounded by
     /// [`KEY_MEMO_CAPACITY`]; cleared wholesale when full.
     key_memo: Mutex<HashMap<String, u128>>,
     /// The serve loop polls `wake_rx`; [`ServerState::request_shutdown`]
@@ -270,14 +259,14 @@ struct InflightRow {
     id: Option<Value>,
     op: Op,
     started: Instant,
-    /// The request's current phase (`"parse"`, `"cache"`, `"engine"`),
+    /// The request's current phase (`"cache"`, then `"engine"`),
     /// updated in place as the run advances.
     phase: &'static str,
     progress: Arc<ProgressCell>,
 }
 
 /// Removes its row from the in-flight table on drop, so every exit path of
-/// an engine run — cache hit, validation error, panic unwound by
+/// an engine run — cache hit, deadline error, panic unwound by
 /// `catch_unwind`'s caller — deregisters exactly once.
 struct InflightGuard<'a> {
     state: &'a ServerState,
@@ -342,24 +331,23 @@ impl ServerState {
     }
 
     /// The canonical key of `source`, via [`ServerState::key_memo`]:
-    /// byte-identical resubmissions skip the parse entirely. `None` when
-    /// the program does not parse (the worker renders the structured
-    /// error); parse failures are never memoized.
-    fn memoized_term_key(&self, source: &str) -> Option<u128> {
+    /// byte-identical resubmissions skip the parse entirely. A program that
+    /// does not parse is a structured `parse_error`; parse failures are
+    /// never memoized.
+    fn memoized_term_key(&self, source: &str) -> Result<u128, ServiceError> {
         if let Ok(memo) = self.key_memo.lock() {
             if let Some(key) = memo.get(source) {
-                return Some(*key);
+                return Ok(*key);
             }
         }
-        let term = parse_term(source).ok()?;
-        let key = term.canonical_key();
+        let key = parse_program(source)?.canonical_key();
         if let Ok(mut memo) = self.key_memo.lock() {
             if memo.len() >= KEY_MEMO_CAPACITY {
                 memo.clear();
             }
             memo.insert(source.to_string(), key);
         }
-        Some(key)
+        Ok(key)
     }
 
     /// Registers an engine run in the in-flight table; the returned guard
@@ -377,7 +365,7 @@ impl ServerState {
                 id,
                 op,
                 started: Instant::now(),
-                phase: "parse",
+                phase: "cache",
                 progress,
             });
         }
@@ -579,14 +567,6 @@ struct FlightGroup {
     waiters: Vec<Waiter>,
 }
 
-/// The leader's handle on its singleflight entry, carried inside the
-/// [`Job`]: the worker that runs the job threads `limit_ms` into the
-/// engine's budget and fans the result out to the entry's waiters.
-struct FlightLease {
-    key: CacheKey,
-    limit_ms: Arc<AtomicU64>,
-}
-
 /// Writes one reply line to a transport, newline appended, in one write:
 /// two small writes would interact with Nagle + delayed ACKs and cost
 /// ~10 ms per lock-step request on TCP.
@@ -619,32 +599,30 @@ fn reply_waiter(
 
 /// Removes a finished run's singleflight entry and fans its outcome out to
 /// every waiter still registered. Runs on *every* leader exit path — cache
-/// hit, validation error, deadline error, caught engine panic — so no
-/// waiter can be left hanging.
+/// hit, deadline error, caught engine panic — so no waiter can be left
+/// hanging.
 fn fanout_flight(
     state: &ServerState,
-    flight: &FlightLease,
+    key: &CacheKey,
     op: Op,
     outcome: &Result<Value, ServiceError>,
 ) {
-    let removed = state.singleflight.lock().ok().and_then(|mut f| f.remove(&flight.key));
+    let removed = state.singleflight.lock().ok().and_then(|mut f| f.remove(key));
     let Some(FlightGroup { waiters, .. }) = removed.filter(|group| !group.waiters.is_empty())
     else {
         return;
     };
     state.coalesce_fanout_max.ratchet(waiters.len() as u64);
     for waiter in &waiters {
-        reply_waiter(state, op, flight.key.term, waiter, outcome);
+        reply_waiter(state, op, key.term, waiter, outcome);
     }
 }
 
 // ------------------------------------------------------------------ dispatch
 
-/// What processing one line produced (pool-internal).
-#[derive(Default)]
+/// What serving one admitted request produced (pool-internal).
 struct LineOutcome {
-    reply: Option<String>,
-    shutdown: bool,
+    reply: String,
     /// Injected fault: write only half the reply, then hard-close the
     /// connection.
     drop_reply: bool,
@@ -655,14 +633,114 @@ struct LineOutcome {
 /// mutability is the caller's business (the engine loop only has `&`).
 type FrameSink<'a> = &'a (dyn Fn(&str) + 'a);
 
+/// A request line that passed [`admit`]: parsed, and for an engine op also
+/// capped and keyed. Nothing else reaches the cache, the singleflight table,
+/// the queue or a worker.
+struct Admitted {
+    request: Request,
+    /// `None` for control ops.
+    engine: Option<Resolved>,
+}
+
+/// What admission resolved for an engine request: its CLI-parity
+/// parameters, each within the server caps, and its content address — the
+/// one key the cache, the singleflight table and the inline hit path use.
+struct Resolved {
+    depth: usize,
+    runs: usize,
+    steps: usize,
+    seed: u64,
+    key: CacheKey,
+}
+
+/// Admits one non-blank request line: the only place a line is parsed,
+/// validated and keyed, before any cache lookup, flight join, shedding or
+/// enqueue. The checks run in the order that fixes the error code of a line
+/// with several faults: JSON and fields ([`parse_request`]), the program
+/// byte cap, the term parse (through [`ServerState::key_memo`]), then the
+/// depth/runs/steps caps. A rejected line comes back as its rendered,
+/// accounted error reply.
+fn admit(state: &ServerState, line: &str) -> Result<Admitted, String> {
+    let started = Instant::now();
+    let (id, op, error) = match parse_request(line) {
+        Err((id, error)) => (id, None, error),
+        Ok(request) if !request.op.is_engine_op() => {
+            return Ok(Admitted { request, engine: None })
+        }
+        Ok(request) => match resolve(state, &request) {
+            Ok(resolved) => return Ok(Admitted { request, engine: Some(resolved) }),
+            Err(error) => (request.id, Some(request.op), error),
+        },
+    };
+    Err(finish(state, Answer::new(&id, op, started), Err(error)))
+}
+
+/// The admission checks of a parsed engine request, then its parameters:
+/// CLI-parity defaults (`analyze` defaults its Monte-Carlo cross-check off,
+/// like `probterm analyze` does) under the server's hard caps.
+fn resolve(state: &ServerState, request: &Request) -> Result<Resolved, ServiceError> {
+    let config = &state.config;
+    let source = request.program.as_deref().expect("parse_request requires a program");
+    if source.len() > config.max_program_bytes {
+        return Err(ServiceError::new(
+            ErrorCode::BadRequest,
+            format!(
+                "program of {} bytes exceeds the {}-byte cap",
+                source.len(),
+                config.max_program_bytes
+            ),
+        ));
+    }
+    let term = state.memoized_term_key(source)?;
+    let depth = request.depth.unwrap_or(120);
+    let runs = request.runs.unwrap_or(if request.op == Op::Analyze { 0 } else { 10_000 });
+    let steps = request.steps.unwrap_or(20_000);
+    let seed = request.seed.unwrap_or(2021);
+    let caps = [
+        ("depth", depth, config.max_depth),
+        ("runs", runs, config.max_runs),
+        ("steps", steps, config.max_steps),
+    ];
+    for (what, value, max) in caps {
+        if value > max {
+            return Err(ServiceError::new(
+                ErrorCode::BadRequest,
+                format!("{what} {value} exceeds the server cap {max}"),
+            ));
+        }
+    }
+    let config = match request.op {
+        Op::Simulate => format!(
+            "runs={runs};steps={steps};seed={seed};strategy={}",
+            strategy_str(request.strategy)
+        ),
+        Op::Lower => format!("depth={depth}"),
+        Op::Explain => format!(
+            "depth={depth};top={}",
+            request.top.map_or_else(|| "all".to_string(), |t| t.to_string())
+        ),
+        Op::Verify => String::new(),
+        Op::Analyze => format!("depth={depth};runs={runs};steps={steps};seed={seed}"),
+        _ => unreachable!("only engine ops are resolved"),
+    };
+    let key = CacheKey { term, analysis: request.op.as_str(), config };
+    Ok(Resolved { depth, runs, steps, seed, key })
+}
+
+/// Parses a request's program; a syntax error is a structured `parse_error`.
+fn parse_program(source: &str) -> Result<Term, ServiceError> {
+    parse_term(source)
+        .map_err(|e| ServiceError::new(ErrorCode::ParseError, format!("parse error: {e}")))
+}
+
 /// Handles one NDJSON request line; returns the reply line (without trailing
 /// newline), or `None` for blank input lines.
 ///
 /// This is the full service pipeline minus the transport, usable directly by
-/// tests and in-process embedders. A `shutdown` request sets the state's
-/// shutdown flag as a side effect. Streamed progress frames are dropped
-/// (there is no transport to carry them); use [`handle_line_frames`] to
-/// capture them.
+/// tests and in-process embedders: `admit`, then the same serving step a
+/// worker runs. A `shutdown` request sets the state's shutdown flag as a
+/// side effect. Streamed progress frames are dropped (there is no transport
+/// to carry them); use [`handle_line_frames`] to capture them.
 pub fn handle_line(state: &ServerState, line: &str) -> Option<String> {
     handle_line_frames(state, line, &|_| {})
 }
@@ -675,11 +753,18 @@ pub fn handle_line_frames(
     line: &str,
     frames: &dyn Fn(&str),
 ) -> Option<String> {
-    let outcome = process_line(state, line, 0, frames, None);
-    if outcome.shutdown {
+    if line.trim().is_empty() {
+        return None;
+    }
+    let admitted = match admit(state, line) {
+        Ok(admitted) => admitted,
+        Err(reply) => return Some(reply),
+    };
+    let reply = serve_admitted(state, &admitted, 0, frames, None).reply;
+    if admitted.request.op == Op::Shutdown {
         state.request_shutdown();
     }
-    outcome.reply
+    Some(reply)
 }
 
 /// One answered request, as [`finish`] accounts it.
@@ -815,180 +900,87 @@ fn emit_slow(state: &ServerState, seq: u64, answer: &Answer<'_>) {
     sink.emit(record);
 }
 
-fn process_line(
+/// Serves one admitted request on the calling thread (a worker, or the
+/// caller of [`handle_line`]; the transport also answers control ops this
+/// way): a control op's payload, or an engine op through the cache and, on a
+/// miss, its engine.
+fn serve_admitted(
     state: &ServerState,
-    line: &str,
+    admitted: &Admitted,
     queue_us: u64,
     frames: FrameSink,
-    flight: Option<&FlightLease>,
+    flight: Option<&AtomicU64>,
 ) -> LineOutcome {
-    if line.trim().is_empty() {
-        return LineOutcome::default();
-    }
-    let started = Instant::now();
+    let request = &admitted.request;
     let phases = PhaseTimes { queue_us, ..Default::default() };
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err((id, e)) => {
-            // A flight lease on an unparseable line cannot happen (the
-            // reader parsed it to build the key), but if it ever did, its
-            // waiters must not hang.
-            if let Some(flight) = flight {
-                fanout_flight(state, flight, Op::Lower, &Err(e.clone()));
-            }
-            let answer = Answer { phases, ..Answer::new(&id, None, started) };
-            return LineOutcome { reply: Some(finish(state, answer, Err(e))), ..Default::default() };
+    let mut answer =
+        Answer { phases, ..Answer::new(&request.id, Some(request.op), Instant::now()) };
+    let mut drop_reply = false;
+    let dispatched = match &admitted.engine {
+        None => Ok((control_payload(state, request.op), None)),
+        Some(resolved) => {
+            answer.canonical_key = Some(resolved.key.term);
+            let phases = &mut answer.phases;
+            engine_op(state, request, resolved, phases, &mut drop_reply, frames, flight)
         }
     };
-    let mut answer = Answer { phases, ..Answer::new(&request.id, Some(request.op), started) };
-    let mut drop_reply = false;
-    let dispatched = match control_payload(state, request.op) {
-        Some(payload) => Ok((payload, None)),
-        None => engine_op(
-            state,
-            &request,
-            &mut answer.phases,
-            &mut answer.canonical_key,
-            &mut drop_reply,
-            frames,
-            flight,
-        ),
-    };
     // Fan the outcome out to every coalesced waiter the moment the leader's
-    // run is decided — on success *and* on every error path (validation,
-    // deadline, caught engine panic), so no waiter can hang.
-    if let Some(flight) = flight {
+    // run is decided — on success *and* on every error path (deadline,
+    // caught engine panic), so no waiter can hang.
+    if let (Some(_), Some(Resolved { key, .. })) = (flight, &admitted.engine) {
         let outcome = dispatched.as_ref().map(|(value, _)| value.clone()).map_err(Clone::clone);
-        fanout_flight(state, flight, request.op, &outcome);
+        fanout_flight(state, key, request.op, &outcome);
     }
-    LineOutcome {
-        reply: Some(finish(state, answer, dispatched)),
-        shutdown: request.op == Op::Shutdown,
-        drop_reply,
-    }
+    LineOutcome { reply: finish(state, answer, dispatched), drop_reply }
 }
 
 type DispatchResult = Result<(Value, Option<&'static str>), ServiceError>;
 
-/// The payload of a control op; `None` for engine ops. Workers and the
-/// transport reader's inline path ([`serve_inline_control`]) share it.
-fn control_payload(state: &ServerState, op: Op) -> Option<Value> {
-    Some(match op {
+/// The payload of a control op.
+fn control_payload(state: &ServerState, op: Op) -> Value {
+    match op {
         Op::Catalog => catalog_payload(),
         Op::Stats => stats_payload(state),
         Op::Metrics => metrics_payload(state),
         Op::Inspect => inspect_payload(state),
         Op::Shutdown => Value::Object(vec![]),
-        Op::Simulate | Op::Lower | Op::Explain | Op::Verify | Op::Analyze => return None,
-    })
-}
-
-/// CLI-parity engine parameter defaults, shared by the worker and the
-/// coalescing reader so the two can never derive different cache keys for
-/// the same request.
-struct EngineParams {
-    depth: usize,
-    runs: usize,
-    steps: usize,
-    seed: u64,
-}
-
-fn engine_params(request: &Request) -> EngineParams {
-    EngineParams {
-        depth: request.depth.unwrap_or(120),
-        runs: request
-            .runs
-            .unwrap_or(if request.op == Op::Analyze { 0 } else { 10_000 }),
-        steps: request.steps.unwrap_or(20_000),
-        seed: request.seed.unwrap_or(2021),
-    }
-}
-
-/// The content address of an engine request — the key the cache, the
-/// singleflight table and the inline hit path all agree on.
-fn request_cache_key(request: &Request, term_key: u128) -> CacheKey {
-    let EngineParams { depth, runs, steps, seed } = engine_params(request);
-    CacheKey {
-        term: term_key,
-        analysis: request.op.as_str(),
-        config: match request.op {
-            Op::Simulate => format!(
-                "runs={runs};steps={steps};seed={seed};strategy={}",
-                strategy_str(request.strategy)
-            ),
-            Op::Lower => format!("depth={depth}"),
-            Op::Explain => format!(
-                "depth={depth};top={}",
-                request.top.map_or_else(|| "all".to_string(), |t| t.to_string())
-            ),
-            Op::Verify => String::new(),
-            Op::Analyze => format!("depth={depth};runs={runs};steps={steps};seed={seed}"),
-            _ => unreachable!("cache keys exist only for engine ops"),
-        },
+        Op::Simulate | Op::Lower | Op::Explain | Op::Verify | Op::Analyze => {
+            unreachable!("engine ops are admitted with a resolved key")
+        }
     }
 }
 
 fn engine_op(
     state: &ServerState,
     request: &Request,
+    resolved: &Resolved,
     phases: &mut PhaseTimes,
-    canonical_key: &mut Option<u128>,
     drop_reply: &mut bool,
     frames: FrameSink,
-    flight: Option<&FlightLease>,
+    flight: Option<&AtomicU64>,
 ) -> DispatchResult {
-    let config = &state.config;
+    let &Resolved { depth, runs, steps, seed, ref key } = resolved;
     // Register in the in-flight table up front, with a fresh progress cell
     // the lower-bound engine will publish into; the guard deregisters on
     // every exit path.
     let progress = Arc::new(ProgressCell::new());
     let inflight_guard =
         state.inflight_register(request.id.clone(), request.op, Arc::clone(&progress));
-    let source = request.program.as_deref().expect("validated by parse_request");
-    if source.len() > config.max_program_bytes {
-        return Err(ServiceError::new(
-            ErrorCode::BadRequest,
-            format!(
-                "program of {} bytes exceeds the {}-byte cap",
-                source.len(),
-                config.max_program_bytes
-            ),
-        ));
-    }
-    let term = parse_term(source)
-        .map_err(|e| ServiceError::new(ErrorCode::ParseError, format!("parse error: {e}")))?;
-
-    // CLI-parity defaults, then hard caps. `analyze` defaults its
-    // Monte-Carlo cross-check off, like `probterm analyze` does.
-    let EngineParams { depth, runs, steps, seed } = engine_params(request);
-    let cap = |what: &str, value: usize, max: usize| -> Result<(), ServiceError> {
-        if value > max {
-            Err(ServiceError::new(
-                ErrorCode::BadRequest,
-                format!("{what} {value} exceeds the server cap {max}"),
-            ))
-        } else {
-            Ok(())
-        }
-    };
-    cap("depth", depth, config.max_depth)?;
-    cap("runs", runs, config.max_runs)?;
-    cap("steps", steps, config.max_steps)?;
-
-    let term_key = term.canonical_key();
-    *canonical_key = Some(term_key);
-    let cache_key = request_cache_key(request, term_key);
     // The cache decides (see `cache::decide`): serve the entry, or run the
     // engine — resuming from a declined partial's checkpoint, so the
     // already-measured paths are never re-explored.
-    state.inflight_phase(&inflight_guard, "cache");
     let cache_timer = SpanTimer::start();
-    let lookup = state.cache.lock().expect("cache lock").lookup(&cache_key, request.deadline_ms);
+    let lookup = state.cache.lock().expect("cache lock").lookup(key, request.deadline_ms);
     phases.cache_us = cache_timer.elapsed_us();
     let resume = match lookup {
         Lookup::Hit(payload) => return Ok((payload, Some("hit"))),
         Lookup::Miss(resume) => resume,
     };
+    // Admission validated and keyed the request. Its term is parsed again
+    // here only because a `Term` holds `Rc` identifiers and cannot cross
+    // threads.
+    let source = request.program.as_deref().expect("admitted engine requests carry a program");
+    let term = parse_program(source)?;
 
     // Fault injection draws its decision from the engine-run counter, so the
     // schedule is a pure function of request order over cache misses.
@@ -1017,7 +1009,7 @@ fn engine_op(
         started: now.checked_sub(Duration::from_micros(phases.queue_us)).unwrap_or(now),
         limit: request.deadline_ms.map(Duration::from_millis),
         draining: &state.draining,
-        flight_limit: flight.map(|f| f.limit_ms.as_ref()),
+        flight_limit: flight,
     };
     // A stream handle exists when the leader asked for progress frames *or*
     // the run is coalesced: the same cooperative tick that renders the
@@ -1030,7 +1022,7 @@ fn engine_op(
             progress: &progress,
             started: Instant::now(),
             last: None.into(),
-            fanout: flight.map(|flight| FrameFanout { state, flight, op: request.op, depth }),
+            fanout: flight.map(|_| FrameFanout { state, key, op: request.op, depth }),
         }
     });
     state.inflight_phase(&inflight_guard, "engine");
@@ -1081,7 +1073,7 @@ fn engine_op(
     // rule under the lock: concurrently, another worker may have stored the
     // complete answer, or a higher partial bound, since our lookup above.
     let payload = entry.payload.clone();
-    state.cache.lock().expect("cache lock").offer(cache_key, entry);
+    state.cache.lock().expect("cache lock").offer(key.clone(), entry);
     // Partial payloads *are* the deadline-truncated answer — they must not be
     // demoted to a bare `budget_exceeded` by the final check. The check goes
     // through the budget, not the raw deadline, so a flight limit a joiner
@@ -1165,7 +1157,7 @@ struct StreamHandle<'a> {
 /// The waiter-facing half of a coalesced run's progress tick.
 struct FrameFanout<'a> {
     state: &'a ServerState,
-    flight: &'a FlightLease,
+    key: &'a CacheKey,
     op: Op,
     depth: usize,
 }
@@ -1201,7 +1193,7 @@ impl FrameFanout<'_> {
     fn tick(&self, snap: &ProgressSnapshot, elapsed_ms: u128) {
         let (streamers, expired) = {
             let Ok(mut flights) = self.state.singleflight.lock() else { return };
-            let Some(group) = flights.get_mut(&self.flight.key) else { return };
+            let Some(group) = flights.get_mut(self.key) else { return };
             let mut expired = Vec::new();
             let mut i = 0;
             while i < group.waiters.len() {
@@ -1232,7 +1224,7 @@ impl FrameFanout<'_> {
         }
         let partial = Ok(progress_partial_value(snap, self.depth, elapsed_ms));
         for waiter in &expired {
-            reply_waiter(self.state, self.op, self.flight.key.term, waiter, &partial);
+            reply_waiter(self.state, self.op, self.key.term, waiter, &partial);
         }
     }
 }
@@ -1321,11 +1313,17 @@ fn lower_payload(
     budget.check("before the lower-bound engine started")?;
     let config = LowerBoundConfig::default().with_depth(depth);
     let prior = resume.map(|(checkpoint, _)| checkpoint);
-    // Floats here only feed the progress display (the result stays exact);
-    // the cell's fixed-point ratchet keeps the published bound monotone.
-    let mut live_bound = prior.map_or(0.0, |c| c.probability.to_f64());
+    // The live bound is summed exactly and published rounded down, so no
+    // frame, `inspect` row or coalesced partial exceeds the exact bound; the
+    // cell's fixed-point ratchet keeps it monotone.
+    let mut live_bound = prior.map_or_else(Rational::zero, |c| c.probability.clone());
     let mut live_paths = prior.map_or(0, |c| c.paths as u64);
-    progress.publish_terminated(live_paths, live_bound);
+    let scale = Rational::from(BOUND_SCALE as i64);
+    let publish = |paths: u64, bound: &Rational| {
+        let scaled = bound.mul_ref(&scale).floor().to_i64().map_or(0, |v| v.max(0) as u64);
+        progress.publish_terminated_scaled(paths, scaled);
+    };
+    publish(live_paths, &live_bound);
     let mut poll = |poll: Poll<'_>| {
         match poll {
             Poll::Explore { work, frontier, depth } => {
@@ -1333,9 +1331,9 @@ fn lower_payload(
             }
             Poll::Sweep => {}
             Poll::Measured(measure) => {
-                live_bound += measure.volume.to_f64();
+                live_bound += &measure.volume;
                 live_paths += 1;
-                progress.publish_terminated(live_paths, live_bound);
+                publish(live_paths, &live_bound);
                 return Ok(());
             }
         }
@@ -1770,8 +1768,8 @@ impl Conn {
         }
         while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
             let raw: Vec<u8> = self.buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&raw[..pos]).trim_end_matches('\r').to_string();
-            self.closed |= !route_or_enqueue(state, jobs, line, &self.out);
+            let line = String::from_utf8_lossy(&raw[..pos]);
+            self.closed |= !route_or_enqueue(state, jobs, line.trim_end_matches('\r'), &self.out);
         }
         Ok(())
     }
@@ -1877,24 +1875,23 @@ fn serve_loop(
 }
 
 struct Job {
-    line: String,
+    admitted: Admitted,
     out: SharedWriter,
     /// When the reader enqueued the job; the worker's pop time minus this is
     /// the request's queue-wait phase.
     enqueued: Instant,
-    /// The singleflight lease when this job leads a coalesced engine run.
-    flight: Option<FlightLease>,
+    /// The flight's shared limit cell when this job leads a coalesced
+    /// engine run.
+    flight: Option<Arc<AtomicU64>>,
 }
 
-/// Admission control, run by transport readers on parsed engine-op requests
-/// *before* enqueueing. Returns the shed reply to write immediately
-/// (bypassing the queue), or `None` to admit. A request is shed when the
-/// queue already holds [`ServerConfig::queue_depth`] jobs, or when its
-/// `deadline_ms` would expire before the predicted queue wait (queued jobs ×
-/// the op's p95 engine time ÷ workers, from the live latency histograms).
-/// Only engine ops are ever submitted here: control ops must stay responsive
-/// under load — that is when `stats` matters most — and malformed lines get
-/// their structured parse error from a worker.
+/// Load shedding, run by the transport reader *before* enqueueing an
+/// admitted engine request that missed the cache and joined no flight.
+/// Returns the shed reply to write immediately, or `None` to enqueue. A
+/// request is shed when the queue already holds
+/// [`ServerConfig::queue_depth`] jobs, or when its `deadline_ms` would
+/// expire before the predicted queue wait (queued jobs × the op's p95 engine
+/// time ÷ workers, from the live latency histograms).
 fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
     let depth = state.config.queue_depth;
     if depth == 0 {
@@ -1948,41 +1945,14 @@ fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
     Some(finish(state, answer, Err(error)))
 }
 
-/// Serves a read-only control op (`catalog`, `stats`, `metrics`,
-/// `inspect`) straight from the transport reader. These are cheap state
-/// snapshots, and answering them inline keeps them responsive when every
-/// worker is pinned under engine load — exactly when `stats` matters most.
-/// `shutdown` stays on the pool: its reply-then-flag ordering anchors the
-/// graceful drain. Engine ops (and unparseable lines) return `None`.
-fn serve_inline_control(state: &ServerState, request: &Request) -> Option<String> {
-    if request.op == Op::Shutdown {
-        return None;
-    }
-    let started = Instant::now();
-    let payload = control_payload(state, request.op)?;
-    let answer = Answer::new(&request.id, Some(request.op), started);
-    Some(finish(state, answer, Ok((payload, None))))
-}
-
 /// Serves a cached entry straight from the transport reader when the cache
-/// would serve it to this request ([`crate::cache::decide`]). [`route_line`]
-/// has already paid for the request parse and the canonical key, so a warm
-/// hit needs no queue slot, no worker handoff and no second parse — on a
-/// lock-step client that removes two scheduler round-trips per request.
-/// Returns `None` for everything else (misses, declined partials, over-cap
-/// requests), which falls through to a worker: `engine_op` owns miss
-/// accounting, resume semantics and error rendering. An inline hit is served
-/// too fast to be observable via `inspect`, so it skips the in-flight
-/// registry.
+/// would serve it to this request ([`crate::cache::decide`]): a warm hit
+/// needs no queue slot and no worker handoff, which on a lock-step client
+/// saves two scheduler round-trips per request. Returns `None` for misses
+/// and declined partials, whose accounting and resume `engine_op` owns. An
+/// inline hit is too fast to observe via `inspect`, so it skips the
+/// in-flight registry.
 fn serve_inline_hit(state: &ServerState, request: &Request, key: &CacheKey) -> Option<String> {
-    let EngineParams { depth, runs, steps, .. } = engine_params(request);
-    let config = &state.config;
-    // `verify` keys omit depth/runs/steps, so an over-cap request can share
-    // a key with a legally cached entry — it must still get its cap error
-    // from the worker, never the cached value.
-    if depth > config.max_depth || runs > config.max_runs || steps > config.max_steps {
-        return None;
-    }
     let started = Instant::now();
     let cached = state.cache.lock().expect("cache lock").serve(key, request.deadline_ms)?;
     let mut answer = Answer::new(&request.id, Some(request.op), started);
@@ -1993,42 +1963,45 @@ fn serve_inline_hit(state: &ServerState, request: &Request, key: &CacheKey) -> O
 
 /// Where a routed line goes.
 enum Routed {
-    /// Write this reply immediately (admission shed); nothing is enqueued.
+    /// Write this reply immediately (an admission error, an inline control
+    /// op or cache hit, or a shed); nothing is enqueued.
     Reply(String),
-    /// Enqueue the line, carrying a singleflight lease when the request
-    /// leads a new coalesced engine run.
-    Enqueue { flight: Option<FlightLease> },
+    /// Enqueue the admitted request, carrying the flight's shared limit
+    /// cell when it leads a new coalesced engine run.
+    Enqueue { admitted: Admitted, flight: Option<Arc<AtomicU64>> },
     /// The request joined an identical in-flight run as a waiter; the
     /// finishing leader will reply. Nothing to enqueue.
     Coalesced,
 }
 
-/// Routes one raw request line: answer it inline, coalesce onto an
-/// identical in-flight engine run, shed at admission, or enqueue it. Lines
-/// that fail early validation are enqueued without a lease; a worker renders
-/// their structured error.
+/// Routes one non-blank request line: [`admit`] it, then answer it inline,
+/// coalesce it onto an identical in-flight engine run, shed it at
+/// admission, or enqueue it. A line that fails admission is answered
+/// inline with its structured error and never takes a queue slot.
+///
+/// Control ops are cheap state snapshots answered right here, which keeps
+/// them responsive when every worker is pinned under engine load — exactly
+/// when `stats` matters most — and they are never shed. `shutdown` stays
+/// on the pool: its reply-then-flag ordering anchors the graceful drain.
 ///
 /// The coalesce check runs *before* admission control: a joiner consumes no
 /// queue slot and no engine run, so an identical request must never be shed
 /// — under a flood of one hot term, admission sees exactly one queued job.
 fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
-    let fallback = || Routed::Enqueue { flight: None };
-    let Ok(request) = parse_request(line) else { return fallback() };
-    if let Some(reply) = serve_inline_control(state, &request) {
-        return Routed::Reply(reply);
-    }
-    if !request.op.is_engine_op() {
-        return fallback();
-    }
-    let Some(source) = request.program.as_deref() else { return fallback() };
-    if source.len() > state.config.max_program_bytes {
-        return fallback();
-    }
-    let Some(term_key) = state.memoized_term_key(source) else { return fallback() };
-    let key = request_cache_key(&request, term_key);
+    let admitted = match admit(state, line) {
+        Ok(admitted) => admitted,
+        Err(reply) => return Routed::Reply(reply),
+    };
+    let request = &admitted.request;
+    let Some(Resolved { key, .. }) = &admitted.engine else {
+        if request.op == Op::Shutdown {
+            return Routed::Enqueue { admitted, flight: None };
+        }
+        return Routed::Reply(serve_admitted(state, &admitted, 0, &|_| {}, None).reply);
+    };
     // Warm hits are answered right here on the transport thread; everything
     // else pays the queue.
-    if let Some(reply) = serve_inline_hit(state, &request, &key) {
+    if let Some(reply) = serve_inline_hit(state, request, key) {
         return Routed::Reply(reply);
     }
     let join = |group: &mut FlightGroup| {
@@ -2046,14 +2019,14 @@ fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
     };
     {
         let mut flights = state.singleflight.lock().expect("singleflight lock");
-        if let Some(group) = flights.get_mut(&key) {
+        if let Some(group) = flights.get_mut(key) {
             join(group);
             return Routed::Coalesced;
         }
     }
     // Not in flight: normal admission, outside the singleflight lock (the
     // shed path renders, traces and records metrics).
-    if let Some(reply) = admission_reply(state, &request) {
+    if let Some(reply) = admission_reply(state, request) {
         return Routed::Reply(reply);
     }
     let limit_ms = Arc::new(AtomicU64::new(request.deadline_ms.unwrap_or(u64::MAX)));
@@ -2066,7 +2039,7 @@ fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
         }
         std::collections::hash_map::Entry::Vacant(entry) => {
             entry.insert(FlightGroup { limit_ms: Arc::clone(&limit_ms), waiters: Vec::new() });
-            Routed::Enqueue { flight: Some(FlightLease { key, limit_ms }) }
+            Routed::Enqueue { admitted, flight: Some(limit_ms) }
         }
     }
 }
@@ -2086,35 +2059,39 @@ fn idle_close(state: &ServerState, out: &SharedWriter) {
     }
 }
 
-/// The step the serve loop takes for each framed line: route it
-/// ([`route_line`]), then write the inline reply, leave a coalesced request
-/// to its leader, or enqueue the line — keeping the queued-jobs gauge (the
-/// admission-control input) in sync. Returns `false` when the pool is gone.
+/// The step the serve loop takes for each framed line: skip it if blank,
+/// else route it ([`route_line`]), then write the inline reply, leave a
+/// coalesced request to its leader, or enqueue the admitted request —
+/// keeping the queued-jobs gauge (the admission-control input) in sync.
+/// Returns `false` when the pool is gone.
 fn route_or_enqueue(
     state: &ServerState,
     jobs: &mpsc::Sender<Job>,
-    line: String,
+    line: &str,
     out: &SharedWriter,
 ) -> bool {
-    let flight = match route_line(state, &line, out) {
+    if line.trim().is_empty() {
+        return true;
+    }
+    let (admitted, flight) = match route_line(state, line, out) {
         Routed::Reply(reply) => {
             write_reply_line(out, reply);
             return true;
         }
         Routed::Coalesced => return true,
-        Routed::Enqueue { flight } => flight,
+        Routed::Enqueue { admitted, flight } => (admitted, flight),
     };
     // Relaxed: the gauge feeds heuristics (admission, stats), not an
     // ordering-sensitive protocol — see `admission_reply`.
     state.queued.fetch_add(1, Ordering::Relaxed);
-    let job = Job { line, out: Arc::clone(out), enqueued: Instant::now(), flight };
+    let job = Job { admitted, out: Arc::clone(out), enqueued: Instant::now(), flight };
     if let Err(mpsc::SendError(job)) = jobs.send(job) {
         state.queued.fetch_sub(1, Ordering::Relaxed);
         // The pool is gone: retire the would-be leader's singleflight entry
         // so it cannot absorb further joiners.
-        if let Some(flight) = &job.flight {
+        if let (Some(_), Some(Resolved { key, .. })) = (&job.flight, &job.admitted.engine) {
             if let Ok(mut flights) = state.singleflight.lock() {
-                flights.remove(&flight.key);
+                flights.remove(key);
             }
         }
         return false;
@@ -2158,22 +2135,22 @@ fn run_job(state: &ServerState, job: Job) {
     // each under its own lock acquisition so replies to interleaved requests
     // on the same connection are never blocked for a whole run.
     let emit_frame = |frame: &str| write_reply_line(&job.out, frame.into());
-    let outcome = process_line(state, &job.line, queue_us, &emit_frame, job.flight.as_ref());
-    match outcome.reply {
-        Some(reply) if outcome.drop_reply => {
-            // Injected fault: half the bytes, then a hard close mid-line.
-            if let Ok(mut out) = job.out.lock() {
-                let _ = out.write_all(&reply.as_bytes()[..reply.len() / 2]);
-                let _ = out.flush();
-                out.abort();
-            }
+    let flight = job.flight.as_deref();
+    let LineOutcome { reply, drop_reply } =
+        serve_admitted(state, &job.admitted, queue_us, &emit_frame, flight);
+    if drop_reply {
+        // Injected fault: half the bytes, then a hard close mid-line.
+        if let Ok(mut out) = job.out.lock() {
+            let _ = out.write_all(&reply.as_bytes()[..reply.len() / 2]);
+            let _ = out.flush();
+            out.abort();
         }
-        Some(reply) => write_reply_line(&job.out, reply),
-        None => {}
+    } else {
+        write_reply_line(&job.out, reply);
     }
     // The flag is set only after the reply is flushed, so a `shutdown` reply
     // is on the wire before the serve loop can exit.
-    if outcome.shutdown {
+    if job.admitted.request.op == Op::Shutdown {
         state.request_shutdown();
     }
 }
@@ -2727,17 +2704,17 @@ mod tests {
         assert!(matches!(route_line(state, lower, &out), Routed::Reply(_)));
         // ...but never sheds control ops or unparseable lines — control
         // ops are answered inline by the reader even at full queue depth,
-        // and unparseable lines route to a worker for the structured error.
+        // and unparseable lines get their structured error inline too.
         match route_line(state, r#"{"op":"stats"}"#, &out) {
             Routed::Reply(reply) => {
                 assert!(reply.contains(r#""ok":true"#), "{reply}");
             }
             _ => panic!("stats is answered inline, never shed"),
         }
-        assert!(matches!(
-            route_line(state, "not json", &out),
-            Routed::Enqueue { flight: None, .. }
-        ));
+        match route_line(state, "not json", &out) {
+            Routed::Reply(reply) => assert_eq!(error_code_of(&reply), "parse_error"),
+            _ => panic!("an unparseable line is answered inline, never enqueued"),
+        }
         // Deadline-doomed shedding: with a recorded 1 s p95 engine time and
         // one queued job, a 10 ms deadline cannot survive the predicted wait.
         state.queued.store(1, Ordering::SeqCst);
@@ -2749,9 +2726,10 @@ mod tests {
         let reply = admission_reply(state, &doomed).expect("doomed deadline is shed");
         assert_eq!(error_code_of(&reply), "overloaded");
         // Shed requests are counted, and the stats payload mirrors them.
-        // Served is 4: the three sheds plus the inline stats answer above.
+        // Served is 5: the three sheds plus the inline stats and parse
+        // error answers above.
         assert_eq!(state.stats().shed, 3);
-        assert_eq!(state.stats().served, 4);
+        assert_eq!(state.stats().served, 5);
         let robustness = stats_payload(state);
         let shed = robustness
             .get("robustness")
@@ -3083,9 +3061,13 @@ mod tests {
         // The first engine run sleeps 200 ms (injected slow fault) before a
         // genuinely long exploration, so the poller below reliably observes
         // it mid-flight: first in the engine phase, then with a nonzero
-        // monotone bound once paths start terminating.
+        // monotone bound once paths start terminating. The non-affine geo at
+        // depth 6000 box-sweeps every path and takes about 2.8 s in a release
+        // build; the 1.5 s deadline cuts it short in every build, and the
+        // partial reply is still `ok`.
         let s = Server::new(ServerConfig {
             workers: 1,
+            max_depth: 6000,
             inject: Some(InjectSpec::parse("slow=@1:200").unwrap()),
             ..Default::default()
         });
@@ -3093,7 +3075,7 @@ mod tests {
             let s = s.clone();
             thread::spawn(move || {
                 s.handle_line(
-                    r#"{"id":"slow-1","op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":400}"#,
+                    r#"{"id":"slow-1","op":"lower","program":"(fix phi x. if sample * sample <= 1/2 then x else phi (x + 1)) 0","depth":6000,"deadline_ms":1500}"#,
                 )
             })
         };
@@ -3133,6 +3115,25 @@ mod tests {
         let result = result_of(&s.handle_line(r#"{"op":"inspect"}"#).unwrap());
         assert_eq!(result.get("count").and_then(Value::as_u64), Some(0));
         assert_eq!(result.get("inflight").and_then(Value::as_array).map(<[Value]>::len), Some(0));
+    }
+
+    #[test]
+    fn live_progress_bounds_round_down_from_the_exact_sum() {
+        // Pterm is 1/2 - 2^-60, which rounds to nearest as the float 0.5:
+        // summed in floats, the published bound would read 500_000_000.
+        let program = "if sample <= 576460752303423487/1152921504606846976 then 0 else (fix f x. f x) 0";
+        let draining = AtomicBool::new(false);
+        let started = Instant::now();
+        let budget = RunBudget { started, limit: None, draining: &draining, flight_limit: None };
+        let progress = ProgressCell::new();
+        let term = parse_term(program).unwrap();
+        let entry = lower_payload(&term, 40, &budget, None, &progress, None).unwrap();
+        assert_eq!(
+            entry.payload.get("probability").and_then(Value::as_str),
+            Some("0.4999999999")
+        );
+        let bound_scaled = progress.snapshot().bound_scaled;
+        assert!(bound_scaled <= 499_999_999, "live bound {bound_scaled} exceeds the exact bound");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! identical concurrent cold requests share exactly one engine run, joiners
 //! with divergent deadlines are reconciled soundly (poorer ones get the
 //! anytime partial, richer ones upgrade the shared budget), a `--cache-path`
-//! snapshot survives a restart, and the event loop holds hundreds of
-//! concurrent connections on two workers.
+//! snapshot survives a restart, the event loop holds hundreds of
+//! concurrent connections on two workers, and a request is validated before
+//! it can lead, join or queue behind a flight.
 
 use probterm_service::{InjectSpec, Server, ServerConfig, CACHE_SNAPSHOT_VERSION};
 use serde::Value;
@@ -314,4 +315,87 @@ fn event_loop_sustains_hundreds_of_concurrent_connections() {
     clients[0].send(r#"{"id":999,"op":"shutdown"}"#);
     let _ = clients[0].read_reply();
     running.join().expect("clean shutdown");
+}
+
+const VERIFY: &str = "(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1";
+
+fn error_code(reply: &Value) -> &str {
+    reply
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("an error reply: {reply:?}"))
+}
+
+/// A one-worker server whose first engine run, a `lower` sent on the
+/// returned client, sleeps 300 ms: everything routed in that window either
+/// queues behind it, joins a flight, or is answered inline.
+fn pinned_server() -> (probterm_service::RunningServer, Client) {
+    let server = Server::new(ServerConfig {
+        workers: 1,
+        inject: Some(InjectSpec::parse("seed=1;slow=@1:300").unwrap()),
+        ..Default::default()
+    });
+    let running = server.spawn_tcp("127.0.0.1:0").expect("bind loopback");
+    let mut pin = Client::connect(running.addr);
+    pin.send(&format!(r#"{{"id":"pin","op":"lower","program":"{GEO}","depth":40}}"#));
+    std::thread::sleep(Duration::from_millis(50)); // the worker is mid-sleep
+    (running, pin)
+}
+
+fn shut_down(running: probterm_service::RunningServer, pin: &mut Client) {
+    let reply = pin.read_reply();
+    assert!(is_ok(&reply), "{reply:?}");
+    pin.send(r#"{"id":"bye","op":"shutdown"}"#);
+    let _ = pin.read_reply();
+    running.join().expect("clean shutdown");
+}
+
+/// An over-cap `verify` is refused before it can lead a flight, so a valid
+/// `verify` of the same program right behind it runs on its own.
+#[test]
+fn an_over_cap_request_never_leads_a_flight() {
+    let (running, mut pin) = pinned_server();
+    let mut over = Client::connect(running.addr);
+    over.send(&format!(r#"{{"id":1,"op":"verify","program":"{VERIFY}","depth":100000}}"#));
+    std::thread::sleep(Duration::from_millis(50));
+    let mut valid = Client::connect(running.addr);
+    valid.send(&format!(r#"{{"id":2,"op":"verify","program":"{VERIFY}"}}"#));
+
+    let refused = over.read_reply();
+    assert_eq!(error_code(&refused), "bad_request", "{refused:?}");
+    let reply = valid.read_reply();
+    assert!(is_ok(&reply), "the valid request inherited the over-cap error: {reply:?}");
+    assert_eq!(cache_tag(&reply), "miss");
+    shut_down(running, &mut pin);
+}
+
+/// An over-cap `verify` is refused before it can join a valid in-flight run
+/// of the same program: its key leaves depth out, but its caps still hold.
+#[test]
+fn an_over_cap_request_never_joins_a_flight() {
+    let (running, mut pin) = pinned_server();
+    let mut valid = Client::connect(running.addr);
+    valid.send(&format!(r#"{{"id":1,"op":"verify","program":"{VERIFY}"}}"#));
+    std::thread::sleep(Duration::from_millis(50));
+    let mut over = Client::connect(running.addr);
+    over.send(&format!(r#"{{"id":2,"op":"verify","program":"{VERIFY}","depth":100000}}"#));
+
+    let refused = over.read_reply();
+    assert_eq!(refused.get("cache"), None, "{refused:?}");
+    assert_eq!(error_code(&refused), "bad_request", "{refused:?}");
+    let reply = valid.read_reply();
+    assert!(is_ok(&reply), "{reply:?}");
+    shut_down(running, &mut pin);
+}
+
+/// A malformed line takes no queue slot: its `parse_error` is answered
+/// inline, ahead of the pinned run queued before it on the same connection.
+#[test]
+fn malformed_lines_are_answered_ahead_of_queued_work() {
+    let (running, mut pin) = pinned_server();
+    pin.send("this is not json");
+    let first = pin.read_reply();
+    assert_eq!(error_code(&first), "parse_error", "{first:?}");
+    shut_down(running, &mut pin);
 }

@@ -116,6 +116,16 @@ impl ProgressCell {
         } else {
             0
         };
+        self.publish_terminated_scaled(paths_terminated, scaled);
+    }
+
+    /// [`ProgressCell::publish_terminated`] with the bound already in
+    /// [`BOUND_SCALE`]ths (clamped to `BOUND_SCALE`). A float bound is
+    /// rounded to nearest on its way here and may overstate a sound lower
+    /// bound; a writer that holds the exact bound rounds it down itself and
+    /// publishes through this method.
+    pub fn publish_terminated_scaled(&self, paths_terminated: u64, bound_scaled: u64) {
+        let scaled = bound_scaled.min(BOUND_SCALE);
         self.write_begin();
         self.paths_terminated.store(paths_terminated, Ordering::Relaxed);
         if scaled > self.bound_scaled.load(Ordering::Relaxed) {

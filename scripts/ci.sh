@@ -238,6 +238,8 @@ if [ -x target/release/probterm ]; then
     smoke_request '{"id":12,"op":"lower","program":"if exp (1000 * sample) <= 5 then 0 else 1","depth":10}' '"ok":true'
     smoke_request '{"id":4,"op":"lower","program":"((("}' '"code":"parse_error"'
     smoke_request 'this is not json' '"code":"parse_error"'
+    # Caps are checked at admission, before the cache or any coalescing.
+    smoke_request '{"id":13,"op":"verify","program":"(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1","depth":100000}' '"code":"bad_request"'
     smoke_request '{"id":5,"op":"stats"}' '"misses":'
     # Per-op latency percentiles in the stats reply.
     smoke_request '{"id":8,"op":"stats"}' '"p95":'
@@ -258,7 +260,7 @@ if [ -x target/release/probterm ]; then
     # trace record carrying the schema fields.
     trace_out=$(target/release/probterm trace-check "$trace_file")
     case "$trace_out" in
-        "ok: 13 trace records"*) echo "smoke ok: trace ($trace_out)" ;;
+        "ok: 14 trace records"*) echo "smoke ok: trace ($trace_out)" ;;
         *)
             echo "smoke FAILED: trace validation: $trace_out"
             smoke_status=1
