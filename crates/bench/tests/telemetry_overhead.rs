@@ -9,8 +9,10 @@
 //! more work than a disabled one, staying within 5 % of it demonstrates the
 //! disabled check is in the noise. The second guard holds the lower-bound
 //! engine's no-op poll hook to the same bound against a hook that publishes
-//! into a [`ProgressCell`] the way the analysis service does. Wall-clock
-//! assertions are noisy on a busy single-CPU box, so each measurement takes
+//! into a [`ProgressCell`] the way the analysis service does. Both guards
+//! time the measuring thread's CPU time, not wall-clock time, so a
+//! descheduled thread is not charged for other processes' work. CPU time
+//! still varies with cache and frequency effects, so each measurement takes
 //! the minimum of several repetitions (the same discipline as the
 //! `symbolic_scaling` test), the two variants of a guard are timed
 //! alternately so that host drift hits both equally, and the two guards
@@ -24,12 +26,24 @@ use probterm_spcf::catalog;
 use probterm_telemetry::ProgressCell;
 use std::convert::Infallible;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::thread;
+use std::time::Duration;
 
 /// Held by each timing test for its whole run: the test harness runs tests
 /// in parallel, and one test timing while the other loads the CPU makes
 /// either bound flaky.
 static TIMING: Mutex<()> = Mutex::new(());
+
+/// The calling thread's CPU time so far, from the first field of
+/// `/proc/thread-self/schedstat` (nanoseconds on the CPU). The kernel brings
+/// that sum up to date when the thread is scheduled, so it yields first.
+fn thread_cpu_time() -> Duration {
+    thread::yield_now();
+    let schedstat = std::fs::read_to_string("/proc/thread-self/schedstat")
+        .expect("read /proc/thread-self/schedstat");
+    let nanos = schedstat.split_whitespace().next().and_then(|ns| ns.parse().ok());
+    Duration::from_nanos(nanos.expect("schedstat starts with the CPU time in ns"))
+}
 
 /// Best-of-seven times of `run(false)` and `run(true)`, timed alternately
 /// in one loop so that drift in the host's speed during the measurement
@@ -45,16 +59,16 @@ fn best_of_alternating(run: impl Fn(bool) -> Duration) -> (Duration, Duration) {
     (disabled, enabled)
 }
 
-/// Time of one exploration of geo(1/2), with or without a profile.
+/// CPU time of one exploration of geo(1/2), with or without a profile.
 fn time_exploration(profile: bool) -> Duration {
     let geo = catalog::geometric(Rational::from_ratio(1, 2)).term;
     let config = ExplorationConfig::default()
         .with_max_steps_per_path(400)
         .with_max_paths(20_000)
         .with_profile(profile);
-    let start = Instant::now();
+    let start = thread_cpu_time();
     let exploration = explore(&geo, &config);
-    let elapsed = start.elapsed();
+    let elapsed = thread_cpu_time() - start;
     assert_eq!(exploration.profile.is_some(), profile);
     if profile {
         let p = exploration.profile.as_ref().unwrap();
@@ -69,7 +83,7 @@ fn time_exploration(profile: bool) -> Duration {
 /// descheduling to invert a 5 % comparison; eight make a sample ~130 ms.
 const RUNS_PER_SAMPLE: usize = 8;
 
-/// Time of [`RUNS_PER_SAMPLE`] `lower_bound` runs on geo(1/2) at depth 400.
+/// CPU time of [`RUNS_PER_SAMPLE`] `lower_bound` runs on geo(1/2) at depth 400.
 /// With `publish`, each run goes through `try_lower_bound` with a hook that
 /// publishes into a fresh [`ProgressCell`] as the analysis service's does;
 /// without, through the no-op hook of `lower_bound`.
@@ -99,9 +113,9 @@ fn time_lower_bound(publish: bool) -> Duration {
             lower_bound(&geo, &config)
         }
     };
-    let start = Instant::now();
+    let start = thread_cpu_time();
     let results: Vec<_> = cells.iter().map(run).collect();
-    let elapsed = start.elapsed();
+    let elapsed = thread_cpu_time() - start;
     for (result, cell) in results.iter().zip(&cells) {
         assert!(result.probability.is_positive());
         if publish {

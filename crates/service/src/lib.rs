@@ -13,16 +13,19 @@
 //!   stdio mode — with no thread per connection and no timed wakeups but
 //!   the next idle deadline, framing lines into **one FIFO job queue** that
 //!   the worker threads block on,
-//! * **single-flight coalescing** ([`server`]): identical in-flight engine
-//!   requests attach as waiters to the first run instead of enqueueing;
-//!   the finishing worker fans the reply (and streamed progress frames) out
-//!   to every waiter, and divergent deadlines are reconciled soundly —
-//!   richer joiners upgrade the run's budget, poorer ones receive the
-//!   sound bound the run's live progress cell holds at their deadline (with
-//!   no checkpoint — the run itself continues),
+//! * **single-flight coalescing** (the `flight` module): each engine run is
+//!   one I/O-free flight record from admission to reply — what `inspect`
+//!   shows, its live progress, its limit and its waiters. Identical requests
+//!   of any op, over TCP or through [`handle_line`], join the run instead of
+//!   running their own; richer joiners raise its limit, and a poorer one is
+//!   answered at its own deadline — a `lower` waiter with the sound bound of
+//!   the run's live progress cell (the run itself continues), any other with
+//!   `budget_exceeded`,
 //! * **deadlines** — per-request `deadline_ms` budgets enforced between
-//!   Monte-Carlo chunks and at engine boundaries; exceeding one yields a
-//!   `budget_exceeded` error and the worker lives on,
+//!   Monte-Carlo chunks and inside the engines; an expired anytime op
+//!   (`lower`, `explain`, `analyze`) returns its sound partial result, the
+//!   others a `budget_exceeded` error, and the worker lives on; a run that
+//!   completes is always served, however late,
 //! * **content-addressed caching** ([`cache`]): results are keyed by the
 //!   α-invariant canonical hash of the submitted program
 //!   ([`probterm_core::spcf::Term::canonical_key`]) plus the analysis and its
@@ -65,6 +68,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod flight;
 pub mod inject;
 pub mod metrics;
 pub mod protocol;

@@ -8,9 +8,9 @@
 //! takes a queue slot; so is an admitted control op, except `shutdown`,
 //! which a worker answers before it sets the shutdown flag. An admitted
 //! engine request is answered from the content-addressed [`ResultCache`]
-//! when the cache would serve it, joins an identical in-flight run, is
-//! shed, or is queued. A worker re-parses only its program (a `Term` cannot
-//! cross threads) and runs the engine.
+//! when the cache would serve it; otherwise it joins the identical run in
+//! flight, is shed, or leads a new flight and is queued. A worker re-parses
+//! only its program (a `Term` cannot cross threads) and runs the engine.
 //!
 //! Transport: one **event-loop thread** owns every connection — the TCP
 //! clients of a listener, or stdin in stdio mode — blocking in `poll(2)` and
@@ -18,25 +18,29 @@
 //! job queue** that `workers` pool threads block on. Replies are written to
 //! the originating stream under a per-stream mutex.
 //!
-//! Single-flight coalescing: a request whose cache key is already being
-//! computed registers as a **waiter** on the in-flight run instead of
-//! enqueueing; the finishing worker fans the reply (and any streamed
-//! progress frames) out to every waiter. A waiter whose deadline expires
-//! mid-run is served the sound partial bound of the run's live progress
-//! cell, and a waiter with a *richer* budget upgrades the run's shared
-//! deadline. With [`ServerConfig::cache_path`] set, the cache survives
-//! restarts as a version-stamped JSONL snapshot (see
-//! [`crate::cache::CACHE_SNAPSHOT_VERSION`]).
+//! Single-flight coalescing: every engine run is one record of the flight
+//! table (the private `flight` module), which makes every coalescing
+//! decision without I/O; this module renders and writes what it decides,
+//! outside its lock. A request whose key is in flight joins as a
+//! **waiter** — over TCP, or blocking in [`handle_line`] — and is answered
+//! with the leader's outcome. Joiners raise the run's shared limit to their
+//! own deadline. The engine's cooperative check ticks the flight: it streams
+//! `lower` progress frames and answers each waiter whose own deadline
+//! expired — a `lower` waiter with the sound partial bound of the run's live
+//! progress cell, any other with `budget_exceeded`. With
+//! [`ServerConfig::cache_path`] set, the cache survives restarts as a
+//! version-stamped JSONL snapshot (see [`crate::cache::CACHE_SNAPSHOT_VERSION`]).
 //!
 //! Deadlines: `deadline_ms` is measured from admission and enforced
 //! cooperatively, between Monte-Carlo chunks and inside the symbolic
 //! engines. An expired `simulate` or `verify` gets `budget_exceeded`; an
-//! expired `lower` (or `analyze`) returns the **sound partial lower bound**
-//! so far, marked `"complete": false` — by Theorem 3.4 every terminated
-//! path certifies its mass independently. Partial results are cached; a
-//! meaningfully richer retry **resumes** from the partial `lower` entry's
-//! exploration checkpoint, and a partial never downgrades a complete entry
-//! or a higher bound.
+//! expired `lower`, `explain` or `analyze` returns the **sound partial
+//! bound** so far, marked `"complete": false` — by Theorem 3.4 every
+//! terminated path certifies its mass independently. A run that completes
+//! is served, however late. Partial results are cached; a meaningfully
+//! richer retry **resumes** from the partial `lower` entry's exploration
+//! checkpoint, and a partial never downgrades a complete entry or a higher
+//! bound.
 //!
 //! Overload protection: an engine request that is neither a hit nor a
 //! joiner is shed with a structured `overloaded` reply carrying
@@ -49,6 +53,7 @@
 //! stall, or drop their reply mid-line for chaos testing.
 
 use crate::cache::{CacheKey, Entry, EntryStatus, Lookup, ResultCache};
+use crate::flight::{FlightTable, Phase, Role, Run, Tick, Waiter};
 use crate::inject::{InjectDecision, InjectSpec};
 use crate::metrics::{ops_value, render_prometheus, PhaseTimes, ServiceMetrics};
 use crate::protocol::{
@@ -67,6 +72,7 @@ use probterm_core::spcf::{
 };
 use probterm_core::{try_analyze_budgeted, AnalysisConfig};
 use serde::Value;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
@@ -219,16 +225,9 @@ pub struct ServerState {
     request_seq: AtomicU64,
     trace: Option<TraceSink>,
     slow: Option<TraceSink>,
-    /// The in-flight request table behind the `inspect` op: one row per
-    /// engine run currently executing, carrying its live [`ProgressCell`].
-    inflight_table: Mutex<Vec<InflightRow>>,
-    /// Token generator for [`InflightRow`] registration.
-    inflight_seq: AtomicU64,
-    /// Single-flight table: one entry per engine request currently being
-    /// computed, keyed by its cache key. Readers that route an identical
-    /// request register a [`Waiter`] here instead of enqueueing; the
-    /// finishing worker removes the entry and fans the reply out.
-    singleflight: Mutex<HashMap<CacheKey, FlightGroup>>,
+    /// One record per engine run from its admission to its reply: what
+    /// `inspect` shows, and the waiters coalesced onto the run.
+    flights: Mutex<FlightTable<ReplyTo>>,
     coalesced_waiters: AtomicU64,
     /// High-water mark of waiters any single coalesced run fanned out to.
     coalesce_fanout_max: Gauge,
@@ -251,35 +250,6 @@ pub struct ServerState {
 /// program cap this bounds the memo at a few tens of MiB worst case, and in
 /// practice hot workloads cycle a handful of spellings.
 const KEY_MEMO_CAPACITY: usize = 1024;
-
-/// One row of the in-flight request table (the `inspect` op's unit).
-#[derive(Debug)]
-struct InflightRow {
-    token: u64,
-    id: Option<Value>,
-    op: Op,
-    started: Instant,
-    /// The request's current phase (`"cache"`, then `"engine"`),
-    /// updated in place as the run advances.
-    phase: &'static str,
-    progress: Arc<ProgressCell>,
-}
-
-/// Removes its row from the in-flight table on drop, so every exit path of
-/// an engine run — cache hit, deadline error, panic unwound by
-/// `catch_unwind`'s caller — deregisters exactly once.
-struct InflightGuard<'a> {
-    state: &'a ServerState,
-    token: u64,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut table) = self.state.inflight_table.lock() {
-            table.retain(|row| row.token != self.token);
-        }
-    }
-}
 
 impl ServerState {
     fn new(
@@ -309,9 +279,7 @@ impl ServerState {
             request_seq: AtomicU64::new(0),
             trace,
             slow,
-            inflight_table: Mutex::new(Vec::new()),
-            inflight_seq: AtomicU64::new(0),
-            singleflight: Mutex::new(HashMap::new()),
+            flights: Mutex::new(FlightTable::new()),
             coalesced_waiters: AtomicU64::new(0),
             coalesce_fanout_max: Gauge::new(),
             cache_persist_loaded: AtomicU64::new(0),
@@ -348,37 +316,6 @@ impl ServerState {
             memo.insert(source.to_string(), key);
         }
         Ok(key)
-    }
-
-    /// Registers an engine run in the in-flight table; the returned guard
-    /// deregisters it on drop.
-    fn inflight_register(
-        &self,
-        id: Option<Value>,
-        op: Op,
-        progress: Arc<ProgressCell>,
-    ) -> InflightGuard<'_> {
-        let token = self.inflight_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Ok(mut table) = self.inflight_table.lock() {
-            table.push(InflightRow {
-                token,
-                id,
-                op,
-                started: Instant::now(),
-                phase: "cache",
-                progress,
-            });
-        }
-        InflightGuard { state: self, token }
-    }
-
-    /// Advances a registered run's phase label.
-    fn inflight_phase(&self, guard: &InflightGuard<'_>, phase: &'static str) {
-        if let Ok(mut table) = self.inflight_table.lock() {
-            if let Some(row) = table.iter_mut().find(|row| row.token == guard.token) {
-                row.phase = phase;
-            }
-        }
     }
 
     /// `true` once a `shutdown` request has been processed.
@@ -446,23 +383,23 @@ impl ServerState {
     }
 }
 
-/// The interruption signal threaded into one engine run: the request's own
-/// deadline plus the server-wide draining flag, so a graceful shutdown
+/// The interruption signal threaded into one engine run: its flight's
+/// shared limit plus the server-wide draining flag, so a graceful shutdown
 /// checkpoints in-flight anytime analyses instead of waiting them out.
 ///
-/// A coalesced run additionally carries its flight's shared limit cell: the
-/// number of milliseconds (measured from the leader's admission) the run may
-/// burn, monotonically *raised* by joining waiters with richer deadlines
-/// (`u64::MAX` encodes "unbounded"). The effective deadline is always the
-/// cell when present, so a late joiner without a deadline turns a bounded
-/// run into an unbounded one mid-flight.
-#[derive(Clone, Copy)]
+/// The limit cell holds the milliseconds from the leader's admission the run
+/// may burn (`u64::MAX` is unbounded); joiners only ever raise it, so a late
+/// joiner without a deadline turns a bounded run into an unbounded one
+/// mid-flight. [`RunBudget::check`] is also the run's one observer: it ticks
+/// the flight at most once per [`STREAM_FRAME_INTERVAL`].
 struct RunBudget<'a> {
-    /// When the request's clock started: its admission, not the run start.
+    /// When the run's clock started: its leader's admission.
     started: Instant,
-    limit: Option<Duration>,
+    limit_ms: &'a AtomicU64,
     draining: &'a AtomicBool,
-    flight_limit: Option<&'a AtomicU64>,
+    /// Streams progress frames and answers expired waiters; gets the time.
+    tick: &'a dyn Fn(Instant),
+    last_tick: Cell<Option<Instant>>,
 }
 
 impl RunBudget<'_> {
@@ -470,101 +407,72 @@ impl RunBudget<'_> {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// The limit currently in force: the flight's shared (upgradeable) cell
-    /// when this is a coalesced run, the request's own deadline otherwise.
-    fn effective_limit(&self) -> Option<Duration> {
-        match self.flight_limit {
-            Some(cell) => {
-                let ms = cell.load(Ordering::Relaxed);
-                (ms != u64::MAX).then(|| Duration::from_millis(ms))
-            }
-            None => self.limit,
-        }
-    }
-
-    fn deadline_exceeded(&self) -> bool {
-        self.effective_limit()
-            .is_some_and(|limit| self.started.elapsed() > limit)
-    }
-
-    fn exceeded(&self) -> bool {
-        self.deadline_exceeded() || self.draining()
-    }
-
-    fn budget_error(&self, phase: &str) -> ServiceError {
-        ServiceError::new(
-            ErrorCode::BudgetExceeded,
-            format!(
-                "deadline of {} ms exceeded {phase} ({} ms elapsed)",
-                self.effective_limit().map(|l| l.as_millis()).unwrap_or(0),
-                self.started.elapsed().as_millis()
-            ),
-        )
+    /// The limit in force, when the run has exceeded it by `now`.
+    fn exceeded_limit(&self, now: Instant) -> Option<u64> {
+        let limit_ms = self.limit_ms.load(Ordering::Relaxed);
+        let exceeded = limit_ms != u64::MAX
+            && now.duration_since(self.started) > Duration::from_millis(limit_ms);
+        exceeded.then_some(limit_ms)
     }
 
     fn error(&self, phase: &str) -> ServiceError {
-        if self.deadline_exceeded() {
-            self.budget_error(phase)
-        } else {
-            ServiceError::new(
+        let now = Instant::now();
+        match self.exceeded_limit(now) {
+            Some(limit_ms) => deadline_error(limit_ms, now.duration_since(self.started), phase),
+            None => ServiceError::new(
                 ErrorCode::Overloaded,
                 format!("server is draining; interrupted {phase}"),
-            )
+            ),
         }
     }
 
+    /// The cooperative check every engine polls: ticks the flight when an
+    /// interval has passed, then fails once the deadline expired or the
+    /// server drains.
     fn check(&self, phase: &str) -> Result<(), ServiceError> {
-        if self.exceeded() {
+        let now = Instant::now();
+        if self.last_tick.get().is_none_or(|last| now - last >= STREAM_FRAME_INTERVAL) {
+            self.last_tick.set(Some(now));
+            (self.tick)(now);
+        }
+        if self.exceeded_limit(now).is_some() || self.draining() {
             Err(self.error(phase))
         } else {
             Ok(())
         }
     }
+}
 
-    /// The post-engine deadline check: unlike [`RunBudget::check`] it
-    /// ignores the draining flag — a result that finished during a drain is
-    /// still a result.
-    fn final_deadline_check(&self, phase: &str) -> Result<(), ServiceError> {
-        if self.deadline_exceeded() {
-            Err(self.budget_error(phase))
-        } else {
-            Ok(())
-        }
-    }
+fn deadline_error(limit_ms: u64, elapsed: Duration, phase: &str) -> ServiceError {
+    ServiceError::new(
+        ErrorCode::BudgetExceeded,
+        format!(
+            "deadline of {limit_ms} ms exceeded {phase} ({} ms elapsed)",
+            elapsed.as_millis()
+        ),
+    )
 }
 
 // -------------------------------------------------------------- coalescing
 
-/// One request coalesced onto an identical in-flight run: everything needed
-/// to synthesize its reply when the leader finishes (or its own deadline
-/// expires first).
-struct Waiter {
-    id: Option<Value>,
-    out: SharedWriter,
-    deadline_ms: Option<u64>,
-    stream: bool,
-    registered: Instant,
+/// Where a flight's waiter gets its lines: its connection, or the channel
+/// of a [`handle_line`] caller blocked on the reply (`true` marks the reply,
+/// `false` a progress frame).
+#[derive(Clone, Debug)]
+enum ReplyTo {
+    Conn(SharedWriter),
+    Caller(mpsc::Sender<(String, bool)>),
 }
 
-impl std::fmt::Debug for Waiter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Waiter")
-            .field("id", &self.id)
-            .field("deadline_ms", &self.deadline_ms)
-            .field("stream", &self.stream)
-            .field("registered", &self.registered)
-            .finish_non_exhaustive()
+impl ReplyTo {
+    fn send(&self, line: String, reply: bool) {
+        match self {
+            ReplyTo::Conn(out) => write_reply_line(out, line),
+            ReplyTo::Caller(caller) => {
+                let _ = caller.send((line, reply));
+            }
+        }
     }
-}
-
-/// The singleflight-table entry of one in-flight engine run.
-#[derive(Debug)]
-struct FlightGroup {
-    /// The run's shared, joiner-upgradeable limit (ms from the leader's
-    /// start; `u64::MAX` = unbounded) — the cell a coalesced
-    /// [`RunBudget`] consults.
-    limit_ms: Arc<AtomicU64>,
-    waiters: Vec<Waiter>,
 }
 
 /// Writes one reply line to a transport, newline appended, in one write:
@@ -578,43 +486,87 @@ fn write_reply_line(out: &SharedWriter, mut line: String) {
     }
 }
 
-/// Synthesizes and writes one waiter's reply through [`finish`] as a
-/// coalesced answer (cache tag `"coalesced"` on success — the waiter
-/// consumed neither a cache lookup nor an engine run).
+/// The flight table, poison-tolerant: its operations never leave it
+/// half-updated.
+fn flights(state: &ServerState) -> std::sync::MutexGuard<'_, FlightTable<ReplyTo>> {
+    state.flights.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Leads or joins the flight of an admitted engine request's `key`.
+fn arrive(state: &ServerState, request: &Request, key: &CacheKey, reply: ReplyTo) -> Role {
+    let arrival = Waiter {
+        id: request.id.clone(),
+        reply,
+        deadline_ms: request.deadline_ms,
+        stream: request.stream,
+        arrived: Instant::now(),
+    };
+    let role = flights(state).arrive(key, request.op, arrival);
+    if role == Role::Join {
+        state.coalesced_waiters.fetch_add(1, Ordering::Relaxed);
+    }
+    role
+}
+
+/// Renders and sends one waiter's reply through [`finish`] as a coalesced
+/// answer (cache tag `"coalesced"` on success — the waiter consumed neither
+/// a cache lookup nor an engine run).
 fn reply_waiter(
     state: &ServerState,
     op: Op,
     canonical_key: u128,
-    waiter: &Waiter,
+    waiter: &Waiter<ReplyTo>,
     outcome: &Result<Value, ServiceError>,
 ) {
     let answer = Answer {
         canonical_key: Some(canonical_key),
         coalesced: true,
-        ..Answer::new(&waiter.id, Some(op), waiter.registered)
+        ..Answer::new(&waiter.id, Some(op), waiter.arrived)
     };
     let line = finish(state, answer, outcome.clone().map(|value| (value, Some("coalesced"))));
-    write_reply_line(&waiter.out, line);
+    waiter.reply.send(line, true);
 }
 
-/// Removes a finished run's singleflight entry and fans its outcome out to
-/// every waiter still registered. Runs on *every* leader exit path — cache
-/// hit, deadline error, caught engine panic — so no waiter can be left
-/// hanging.
-fn fanout_flight(
+/// The error of every request of a flight that will never run.
+fn retired_error() -> ServiceError {
+    ServiceError::new(ErrorCode::Internal, "the worker pool is gone; the run was retired")
+}
+
+/// One tick of a running flight: a `lower` run renders a progress frame for
+/// its streaming leader and each streaming waiter, and every waiter whose
+/// own deadline expired is answered — a `lower` waiter with the sound
+/// partial bound of the run's live progress, any other with the
+/// `budget_exceeded` a solo run would get.
+fn tick_flight(
     state: &ServerState,
-    key: &CacheKey,
-    op: Op,
-    outcome: &Result<Value, ServiceError>,
+    request: &Request,
+    resolved: &Resolved,
+    progress: &ProgressCell,
+    frames: FrameSink,
+    engine_started: Instant,
+    now: Instant,
 ) {
-    let removed = state.singleflight.lock().ok().and_then(|mut f| f.remove(key));
-    let Some(FlightGroup { waiters, .. }) = removed.filter(|group| !group.waiters.is_empty())
-    else {
-        return;
-    };
-    state.coalesce_fanout_max.ratchet(waiters.len() as u64);
-    for waiter in &waiters {
-        reply_waiter(state, op, key.term, waiter, outcome);
+    let Tick { expired, streaming } = flights(state).tick(&resolved.key, now);
+    let lower = request.op == Op::Lower;
+    let snap = progress.snapshot();
+    let elapsed_ms = now.saturating_duration_since(engine_started).as_millis();
+    if lower {
+        if request.stream {
+            frames(&progress_frame(&request.id, progress_value(&snap, elapsed_ms)));
+        }
+        for (id, reply) in &streaming {
+            reply.send(progress_frame(id, progress_value(&snap, elapsed_ms)), false);
+        }
+    }
+    for waiter in &expired {
+        let outcome = if lower {
+            Ok(progress_partial_value(&snap, resolved.depth, elapsed_ms))
+        } else {
+            let limit_ms = waiter.deadline_ms.unwrap_or(0);
+            let elapsed = now.saturating_duration_since(waiter.arrived);
+            Err(deadline_error(limit_ms, elapsed, "while coalesced onto an identical run"))
+        };
+        reply_waiter(state, request.op, resolved.key.term, waiter, &outcome);
     }
 }
 
@@ -634,7 +586,7 @@ struct LineOutcome {
 type FrameSink<'a> = &'a (dyn Fn(&str) + 'a);
 
 /// A request line that passed [`admit`]: parsed, and for an engine op also
-/// capped and keyed. Nothing else reaches the cache, the singleflight table,
+/// capped and keyed. Nothing else reaches the cache, the flight table,
 /// the queue or a worker.
 struct Admitted {
     request: Request,
@@ -644,7 +596,7 @@ struct Admitted {
 
 /// What admission resolved for an engine request: its CLI-parity
 /// parameters, each within the server caps, and its content address — the
-/// one key the cache, the singleflight table and the inline hit path use.
+/// one key the cache, the flight table and the inline hit path use.
 struct Resolved {
     depth: usize,
     runs: usize,
@@ -736,11 +688,14 @@ fn parse_program(source: &str) -> Result<Term, ServiceError> {
 /// Handles one NDJSON request line; returns the reply line (without trailing
 /// newline), or `None` for blank input lines.
 ///
-/// This is the full service pipeline minus the transport, usable directly by
-/// tests and in-process embedders: `admit`, then the same serving step a
-/// worker runs. A `shutdown` request sets the state's shutdown flag as a
-/// side effect. Streamed progress frames are dropped (there is no transport
-/// to carry them); use [`handle_line_frames`] to capture them.
+/// This is the full service pipeline minus the transport and the queue,
+/// usable directly by tests and in-process embedders: `admit`, the inline
+/// cache hit, then the flight of the request's key. Leading it runs the
+/// engine on the calling thread; joining blocks until the leader — another
+/// caller, or a worker — answers. A `shutdown` request sets the state's
+/// shutdown flag as a side effect. Streamed progress frames are dropped
+/// (there is no transport to carry them); use [`handle_line_frames`] to
+/// capture them.
 pub fn handle_line(state: &ServerState, line: &str) -> Option<String> {
     handle_line_frames(state, line, &|_| {})
 }
@@ -760,8 +715,24 @@ pub fn handle_line_frames(
         Ok(admitted) => admitted,
         Err(reply) => return Some(reply),
     };
-    let reply = serve_admitted(state, &admitted, 0, frames, None).reply;
-    if admitted.request.op == Op::Shutdown {
+    let request = &admitted.request;
+    if let Some(Resolved { key, .. }) = &admitted.engine {
+        if let Some(reply) = serve_inline_hit(state, request, key) {
+            return Some(reply);
+        }
+        let (caller, lines) = mpsc::channel();
+        if arrive(state, request, key, ReplyTo::Caller(caller)) == Role::Join {
+            for (line, reply) in lines {
+                if reply {
+                    return Some(line);
+                }
+                frames(&line);
+            }
+            unreachable!("a flight replies to each waiter it lets go");
+        }
+    }
+    let reply = serve_admitted(state, &admitted, 0, frames).reply;
+    if request.op == Op::Shutdown {
         state.request_shutdown();
     }
     Some(reply)
@@ -902,14 +873,12 @@ fn emit_slow(state: &ServerState, seq: u64, answer: &Answer<'_>) {
 
 /// Serves one admitted request on the calling thread (a worker, or the
 /// caller of [`handle_line`]; the transport also answers control ops this
-/// way): a control op's payload, or an engine op through the cache and, on a
-/// miss, its engine.
+/// way): a control op's payload, or the flight the engine op leads.
 fn serve_admitted(
     state: &ServerState,
     admitted: &Admitted,
     queue_us: u64,
     frames: FrameSink,
-    flight: Option<&AtomicU64>,
 ) -> LineOutcome {
     let request = &admitted.request;
     let phases = PhaseTimes { queue_us, ..Default::default() };
@@ -921,16 +890,9 @@ fn serve_admitted(
         Some(resolved) => {
             answer.canonical_key = Some(resolved.key.term);
             let phases = &mut answer.phases;
-            engine_op(state, request, resolved, phases, &mut drop_reply, frames, flight)
+            lead_flight(state, request, resolved, phases, &mut drop_reply, frames)
         }
     };
-    // Fan the outcome out to every coalesced waiter the moment the leader's
-    // run is decided — on success *and* on every error path (deadline,
-    // caught engine panic), so no waiter can hang.
-    if let (Some(_), Some(Resolved { key, .. })) = (flight, &admitted.engine) {
-        let outcome = dispatched.as_ref().map(|(value, _)| value.clone()).map_err(Clone::clone);
-        fanout_flight(state, key, request.op, &outcome);
-    }
     LineOutcome { reply: finish(state, answer, dispatched), drop_reply }
 }
 
@@ -950,22 +912,42 @@ fn control_payload(state: &ServerState, op: Op) -> Value {
     }
 }
 
-fn engine_op(
+/// Runs the flight this request leads, then finishes it: every waiter still
+/// attached gets the leader's outcome — on success and on every error path
+/// (deadline, caught engine panic), so no waiter can hang.
+fn lead_flight(
     state: &ServerState,
     request: &Request,
     resolved: &Resolved,
     phases: &mut PhaseTimes,
     drop_reply: &mut bool,
     frames: FrameSink,
-    flight: Option<&AtomicU64>,
+) -> DispatchResult {
+    let Some(run) = flights(state).enter(&resolved.key, Phase::Cache) else {
+        return Err(retired_error());
+    };
+    let dispatched = engine_op(state, request, resolved, &run, phases, drop_reply, frames);
+    let waiters = flights(state).finish(&resolved.key);
+    if !waiters.is_empty() {
+        state.coalesce_fanout_max.ratchet(waiters.len() as u64);
+        let outcome = dispatched.as_ref().map(|(value, _)| value.clone()).map_err(Clone::clone);
+        for waiter in &waiters {
+            reply_waiter(state, request.op, resolved.key.term, waiter, &outcome);
+        }
+    }
+    dispatched
+}
+
+fn engine_op(
+    state: &ServerState,
+    request: &Request,
+    resolved: &Resolved,
+    run: &Run,
+    phases: &mut PhaseTimes,
+    drop_reply: &mut bool,
+    frames: FrameSink,
 ) -> DispatchResult {
     let &Resolved { depth, runs, steps, seed, ref key } = resolved;
-    // Register in the in-flight table up front, with a fresh progress cell
-    // the lower-bound engine will publish into; the guard deregisters on
-    // every exit path.
-    let progress = Arc::new(ProgressCell::new());
-    let inflight_guard =
-        state.inflight_register(request.id.clone(), request.op, Arc::clone(&progress));
     // The cache decides (see `cache::decide`): serve the entry, or run the
     // engine — resuming from a declined partial's checkpoint, so the
     // already-measured paths are never re-explored.
@@ -998,34 +980,20 @@ fn engine_op(
         state.resumed.fetch_add(1, Ordering::SeqCst);
     }
 
-    // The deadline is a client-facing latency promise measured from
-    // admission, not from run start: time a job spends queued behind other
-    // work spends its budget, so an admitted request is answered within
-    // roughly its own deadline of enqueue — with the sound anytime partial
-    // computed in whatever budget the wait left over. Without this, a full
-    // queue wait plus a fresh full run stacks to ~2x the promised latency.
-    let now = Instant::now();
+    // The deadline runs from the flight's admission, not from run start: a
+    // queue wait spends the budget, so a request is answered within about
+    // its deadline, with the anytime partial computed in what is left.
+    let progress = &run.progress;
+    let engine_started = Instant::now();
+    let tick = |now| tick_flight(state, request, resolved, progress, frames, engine_started, now);
     let budget = RunBudget {
-        started: now.checked_sub(Duration::from_micros(phases.queue_us)).unwrap_or(now),
-        limit: request.deadline_ms.map(Duration::from_millis),
+        started: run.admitted,
+        limit_ms: &run.limit_ms,
         draining: &state.draining,
-        flight_limit: flight,
+        tick: &tick,
+        last_tick: Cell::new(None),
     };
-    // A stream handle exists when the leader asked for progress frames *or*
-    // the run is coalesced: the same cooperative tick that renders the
-    // leader's frames re-renders them for every streaming waiter and serves
-    // deadline-expired waiters their sound partial bound mid-run.
-    let stream = (request.op == Op::Lower && (flight.is_some() || request.stream)).then(|| {
-        StreamHandle {
-            emit: request.stream.then_some(frames),
-            id: &request.id,
-            progress: &progress,
-            started: Instant::now(),
-            last: None.into(),
-            fanout: flight.map(|_| FrameFanout { state, key, op: request.op, depth }),
-        }
-    });
-    state.inflight_phase(&inflight_guard, "engine");
+    flights(state).enter(key, Phase::Engine);
     let engine_timer = SpanTimer::start();
     state.inflight.fetch_add(1, Ordering::SeqCst);
     let computed = catch_unwind(AssertUnwindSafe(|| {
@@ -1039,9 +1007,7 @@ fn engine_op(
             Op::Simulate => {
                 simulate_payload(&term, runs, steps, seed, request.strategy, &budget)
             }
-            Op::Lower => {
-                lower_payload(&term, depth, &budget, resume.as_ref(), &progress, stream.as_ref())
-            }
+            Op::Lower => lower_payload(&term, depth, &budget, resume.as_ref(), progress),
             Op::Explain => explain_payload(&term, source, depth, request.top, &budget),
             Op::Verify => verify_payload(&term, &budget),
             Op::Analyze => analyze_payload(&term, depth, runs, steps, seed, &budget),
@@ -1063,24 +1029,16 @@ fn engine_op(
             ServiceError::new(ErrorCode::Internal, format!("engine failure: {message}"))
         })
         .and_then(|r| r)?;
-    let complete = entry.status == EntryStatus::Complete;
     if matches!(entry.status, EntryStatus::Partial { checkpoint: Some(_), .. }) {
         state.checkpointed_frontiers.fetch_add(1, Ordering::SeqCst);
     }
-    // Cache before the final deadline check: a result that finished late is
-    // still a result, and caching it makes an identical retry an instant hit
-    // instead of a doomed recomputation. `offer` applies the no-downgrade
-    // rule under the lock: concurrently, another worker may have stored the
-    // complete answer, or a higher partial bound, since our lookup above.
+    // A run that returned is served, however late: a complete result is the
+    // answer, and a partial one is the deadline-truncated answer. `offer`
+    // applies the no-downgrade rule under the lock: concurrently, another
+    // worker may have stored the complete answer, or a higher partial bound,
+    // since our lookup above.
     let payload = entry.payload.clone();
     state.cache.lock().expect("cache lock").offer(key.clone(), entry);
-    // Partial payloads *are* the deadline-truncated answer — they must not be
-    // demoted to a bare `budget_exceeded` by the final check. The check goes
-    // through the budget, not the raw deadline, so a flight limit a joiner
-    // upgraded mid-run is honoured here too.
-    if complete {
-        budget.final_deadline_check("after the engine completed")?;
-    }
     Ok((payload, Some("miss")))
 }
 
@@ -1129,105 +1087,12 @@ fn simulate_payload(
     ])))
 }
 
-/// How often a `"stream": true` `lower` run emits a progress frame. Small
-/// enough that a deadline-bounded run still produces several frames; large
-/// enough that frames never dominate a fast run's wire traffic.
+/// How often an engine run ticks its flight ([`tick_flight`]): the pace of
+/// `"stream": true` progress frames, and the lag with which a waiter is
+/// answered at its own deadline. Small enough that a deadline-bounded run
+/// still produces several frames; large enough that frames never dominate a
+/// fast run's wire traffic.
 const STREAM_FRAME_INTERVAL: Duration = Duration::from_millis(20);
-
-/// The mid-run progress emitter of a streamed or coalesced `lower` request:
-/// polled from the engine's cooperative check, it renders a
-/// `{"progress": ...}` frame from the run's [`ProgressCell`] at most once
-/// per [`STREAM_FRAME_INTERVAL`]. The seqlock snapshot and the fixed-point
-/// bound ratchet make every emitted frame internally consistent and the
-/// frame sequence monotone. For a coalesced run the same tick fans the frame
-/// out to every streaming waiter (re-rendered under the waiter's own id) and
-/// serves waiters whose own deadline expired the sound partial bound
-/// accumulated so far.
-struct StreamHandle<'a> {
-    /// The leader's own frame sink — `None` when the leader did not ask to
-    /// stream but the handle exists for its coalesced waiters.
-    emit: Option<FrameSink<'a>>,
-    id: &'a Option<Value>,
-    progress: &'a ProgressCell,
-    started: Instant,
-    last: std::cell::Cell<Option<Instant>>,
-    fanout: Option<FrameFanout<'a>>,
-}
-
-/// The waiter-facing half of a coalesced run's progress tick.
-struct FrameFanout<'a> {
-    state: &'a ServerState,
-    key: &'a CacheKey,
-    op: Op,
-    depth: usize,
-}
-
-impl StreamHandle<'_> {
-    fn maybe_emit(&self) {
-        let now = Instant::now();
-        if self
-            .last
-            .get()
-            .is_some_and(|last| now.duration_since(last) < STREAM_FRAME_INTERVAL)
-        {
-            return;
-        }
-        self.last.set(Some(now));
-        let snap = self.progress.snapshot();
-        let elapsed_ms = self.started.elapsed().as_millis();
-        if let Some(emit) = &self.emit {
-            let frame = progress_frame(self.id, progress_value(&snap, elapsed_ms));
-            (emit)(&frame);
-        }
-        if let Some(fanout) = &self.fanout {
-            fanout.tick(&snap, elapsed_ms);
-        }
-    }
-}
-
-impl FrameFanout<'_> {
-    /// One coalesced progress tick: re-render the frame for every streaming
-    /// waiter, and peel off waiters whose own (shorter) deadline has expired,
-    /// serving each the sound partial bound so far. Rendering and writes
-    /// happen outside the singleflight lock.
-    fn tick(&self, snap: &ProgressSnapshot, elapsed_ms: u128) {
-        let (streamers, expired) = {
-            let Ok(mut flights) = self.state.singleflight.lock() else { return };
-            let Some(group) = flights.get_mut(self.key) else { return };
-            let mut expired = Vec::new();
-            let mut i = 0;
-            while i < group.waiters.len() {
-                let waiter = &group.waiters[i];
-                let done = waiter.deadline_ms.is_some_and(|ms| {
-                    waiter.registered.elapsed().as_millis() >= u128::from(ms)
-                });
-                if done {
-                    expired.push(group.waiters.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            let streamers: Vec<(Option<Value>, SharedWriter)> = group
-                .waiters
-                .iter()
-                .filter(|w| w.stream)
-                .map(|w| (w.id.clone(), Arc::clone(&w.out)))
-                .collect();
-            (streamers, expired)
-        };
-        for (id, out) in &streamers {
-            let frame = progress_frame(id, progress_value(snap, elapsed_ms));
-            write_reply_line(out, frame);
-        }
-        if expired.is_empty() {
-            return;
-        }
-        let partial = Ok(progress_partial_value(snap, self.depth, elapsed_ms));
-        for waiter in &expired {
-            reply_waiter(self.state, self.op, self.key.term, waiter, &partial);
-        }
-    }
-}
 
 /// The sound partial lower bound served to a coalesced waiter whose own
 /// deadline expired mid-run: the monotone bound the shared run has
@@ -1259,32 +1124,29 @@ fn progress_value(snap: &ProgressSnapshot, elapsed_ms: u128) -> Value {
     ])
 }
 
-/// The `inspect` op: the in-flight request table, one row per engine run
-/// currently executing, each with a live seqlock snapshot of its progress.
-/// Never cached, never shed (it is a control op) — the whole point is to see
-/// the server *right now*.
+/// The `inspect` op: the flight table, one row per engine run from its
+/// admission to its reply — its leader's id and op, `age_ms` since
+/// admission, its phase (`queue`, `cache`, then `engine`) and a live seqlock
+/// snapshot of its progress. Never cached, never shed (it is a control op) —
+/// the whole point is to see the server *right now*.
 fn inspect_payload(state: &ServerState) -> Value {
-    let rows = match state.inflight_table.lock() {
-        Ok(table) => table
-            .iter()
-            .map(|row| {
-                Value::Object(vec![
-                    ("id".into(), row.id.clone().unwrap_or(Value::Null)),
-                    ("op".into(), Value::Str(row.op.as_str().to_string())),
-                    ("age_ms".into(), Value::UInt(row.started.elapsed().as_millis())),
-                    ("phase".into(), Value::Str(row.phase.to_string())),
-                    (
-                        "progress".into(),
-                        progress_value(
-                            &row.progress.snapshot(),
-                            row.started.elapsed().as_millis(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
+    let flights: Vec<_> = flights(state)
+        .iter()
+        .map(|flight| (flight.id.clone(), flight.op, flight.phase, flight.run.clone()))
+        .collect();
+    let rows: Vec<Value> = flights
+        .into_iter()
+        .map(|(id, op, phase, run)| {
+            let age_ms = run.admitted.elapsed().as_millis();
+            Value::Object(vec![
+                ("id".into(), id.unwrap_or(Value::Null)),
+                ("op".into(), Value::Str(op.as_str().to_string())),
+                ("age_ms".into(), Value::UInt(age_ms)),
+                ("phase".into(), Value::Str(phase.as_str().to_string())),
+                ("progress".into(), progress_value(&run.progress.snapshot(), age_ms)),
+            ])
+        })
+        .collect();
     Value::Object(vec![
         ("count".into(), Value::UInt(rows.len() as u128)),
         ("inflight".into(), Value::Array(rows)),
@@ -1300,15 +1162,14 @@ fn inspect_payload(state: &ServerState) -> Value {
 /// exploration frontier; a retry with a richer budget passes the cached
 /// checkpoint back in and resumes where the truncated run stopped. The poll
 /// hook publishes the run's live progress (seeded with the checkpoint's
-/// mass, so the bound stays monotone across a resume chain), emits stream
-/// frames and checks the deadline.
+/// mass, so the bound stays monotone across a resume chain) and checks the
+/// budget, whose tick streams the frames.
 fn lower_payload(
     term: &Term,
     depth: usize,
     budget: &RunBudget,
     resume: Option<&(LowerBoundCheckpoint, u64)>,
     progress: &ProgressCell,
-    stream: Option<&StreamHandle>,
 ) -> Result<Entry, ServiceError> {
     budget.check("before the lower-bound engine started")?;
     let config = LowerBoundConfig::default().with_depth(depth);
@@ -1336,9 +1197,6 @@ fn lower_payload(
                 publish(live_paths, &live_bound);
                 return Ok(());
             }
-        }
-        if let Some(stream) = stream {
-            stream.maybe_emit();
         }
         budget.check("during symbolic exploration")
     };
@@ -1421,7 +1279,7 @@ fn explain_payload(
 /// fires *mid-engine* instead of only before/after it.
 fn verify_payload(term: &Term, budget: &RunBudget) -> Result<Entry, ServiceError> {
     budget.check("before the AST verifier started")?;
-    let mut check = || if budget.exceeded() { Err(()) } else { Ok(()) };
+    let mut check = || budget.check("inside the AST verifier").map_err(drop);
     let v = try_verify_ast(term, &mut check).map_err(|e| match e {
         VerifyError::Interrupted => budget.error("inside the AST verifier"),
         other => ServiceError::new(ErrorCode::NotApplicable, other.to_string()),
@@ -1462,7 +1320,7 @@ fn analyze_payload(
         seed,
         profile: false,
     };
-    let mut check = || if budget.exceeded() { Err(()) } else { Ok(()) };
+    let mut check = || budget.check("during the combined analysis").map_err(drop);
     let analysis = try_analyze_budgeted(term, &config, &mut check)
         .map_err(|e| ServiceError::new(ErrorCode::NotApplicable, e.to_string()))?;
     let engine_ms = millis(engine_started.elapsed());
@@ -1478,6 +1336,7 @@ fn analyze_payload(
             ("mean_steps".into(), Value::Num(mc.mean_steps)),
         ]),
     };
+    let papprox = report.papprox.as_ref().map(ToString::to_string);
     let payload = Value::Object(vec![
         ("type".into(), Value::Str(report.simple_type.to_string())),
         (
@@ -1495,27 +1354,9 @@ fn analyze_payload(
                 ("depth".into(), Value::UInt(depth as u128)),
             ]),
         ),
-        (
-            "ast_verified".into(),
-            match report.ast_verified {
-                Some(b) => Value::Bool(b),
-                None => Value::Null,
-            },
-        ),
-        (
-            "papprox".into(),
-            match &report.papprox {
-                Some(p) => Value::Str(p.to_string()),
-                None => Value::Null,
-            },
-        ),
-        (
-            "ast_skipped".into(),
-            match &report.ast_skipped {
-                Some(reason) => Value::Str(reason.clone()),
-                None => Value::Null,
-            },
-        ),
+        ("ast_verified".into(), report.ast_verified.map_or(Value::Null, Value::Bool)),
+        ("papprox".into(), papprox.map_or(Value::Null, Value::Str)),
+        ("ast_skipped".into(), report.ast_skipped.clone().map_or(Value::Null, Value::Str)),
         ("monte_carlo".into(), monte_carlo),
         ("complete".into(), Value::Bool(analysis.complete)),
         ("engine_ms".into(), Value::UInt(u128::from(engine_ms))),
@@ -1534,14 +1375,8 @@ fn catalog_payload() -> Value {
                         ("name".into(), Value::Str(b.name.clone())),
                         ("description".into(), Value::Str(b.description.clone())),
                         ("program".into(), Value::Str(b.term.to_string())),
-                        (
-                            "pterm".into(),
-                            b.expected_pterm.map_or(Value::Null, Value::Num),
-                        ),
-                        (
-                            "ast".into(),
-                            b.expected_ast.map_or(Value::Null, Value::Bool),
-                        ),
+                        ("pterm".into(), b.expected_pterm.map_or(Value::Null, Value::Num)),
+                        ("ast".into(), b.expected_ast.map_or(Value::Null, Value::Bool)),
                     ])
                 })
                 .collect(),
@@ -1555,48 +1390,38 @@ fn catalog_payload() -> Value {
 
 fn stats_payload(state: &ServerState) -> Value {
     let stats = state.stats();
+    let n = |v: u64| Value::UInt(u128::from(v));
+    let size = |v: usize| Value::UInt(v as u128);
     Value::Object(vec![
         ("uptime_ms".into(), Value::UInt(stats.uptime_ms)),
-        ("served".into(), Value::UInt(stats.served as u128)),
-        ("hits".into(), Value::UInt(stats.hits as u128)),
-        ("misses".into(), Value::UInt(stats.misses as u128)),
-        ("inflight".into(), Value::UInt(stats.inflight as u128)),
-        ("cache_entries".into(), Value::UInt(stats.cache_entries as u128)),
-        ("cache_capacity".into(), Value::UInt(stats.cache_capacity as u128)),
-        ("cache_bytes".into(), Value::UInt(u128::from(stats.cache_bytes))),
-        (
-            "oldest_entry_ms".into(),
-            stats.oldest_entry_ms.map_or(Value::Null, |ms| Value::UInt(u128::from(ms))),
-        ),
-        ("workers".into(), Value::UInt(stats.workers as u128)),
+        ("served".into(), n(stats.served)),
+        ("hits".into(), n(stats.hits)),
+        ("misses".into(), n(stats.misses)),
+        ("inflight".into(), n(stats.inflight)),
+        ("cache_entries".into(), size(stats.cache_entries)),
+        ("cache_capacity".into(), size(stats.cache_capacity)),
+        ("cache_bytes".into(), n(stats.cache_bytes)),
+        ("oldest_entry_ms".into(), stats.oldest_entry_ms.map_or(Value::Null, n)),
+        ("workers".into(), size(stats.workers)),
         // Transport counters: single-flight coalescing, queue depth and
         // cache-snapshot persistence.
-        ("coalesced_waiters".into(), Value::UInt(u128::from(stats.coalesced_waiters))),
-        ("coalesce_fanout_max".into(), Value::UInt(u128::from(stats.coalesce_fanout_max))),
-        ("queued".into(), Value::UInt(u128::from(stats.queued))),
-        ("cache_persist_loaded".into(), Value::UInt(u128::from(stats.cache_persist_loaded))),
-        ("cache_persist_saved".into(), Value::UInt(u128::from(stats.cache_persist_saved))),
-        (
-            "cache_persist_rejected".into(),
-            Value::UInt(u128::from(stats.cache_persist_rejected)),
-        ),
+        ("coalesced_waiters".into(), n(stats.coalesced_waiters)),
+        ("coalesce_fanout_max".into(), n(stats.coalesce_fanout_max)),
+        ("queued".into(), n(stats.queued)),
+        ("cache_persist_loaded".into(), n(stats.cache_persist_loaded)),
+        ("cache_persist_saved".into(), n(stats.cache_persist_saved)),
+        ("cache_persist_rejected".into(), n(stats.cache_persist_rejected)),
         // Robustness counters: load shedding, resumable anytime engines,
         // fault injection, graceful drain and idle-connection reaping.
         (
             "robustness".into(),
             Value::Object(vec![
-                ("shed".into(), Value::UInt(u128::from(stats.shed))),
-                ("resumed".into(), Value::UInt(u128::from(stats.resumed))),
-                (
-                    "checkpointed_frontiers".into(),
-                    Value::UInt(u128::from(stats.checkpointed_frontiers)),
-                ),
-                ("injected_faults".into(), Value::UInt(u128::from(stats.injected_faults))),
-                (
-                    "drained_in_flight".into(),
-                    Value::UInt(u128::from(stats.drained_in_flight)),
-                ),
-                ("idle_closed".into(), Value::UInt(u128::from(stats.idle_closed))),
+                ("shed".into(), n(stats.shed)),
+                ("resumed".into(), n(stats.resumed)),
+                ("checkpointed_frontiers".into(), n(stats.checkpointed_frontiers)),
+                ("injected_faults".into(), n(stats.injected_faults)),
+                ("drained_in_flight".into(), n(stats.drained_in_flight)),
+                ("idle_closed".into(), n(stats.idle_closed)),
             ]),
         ),
         // Per-op latency metrics: requests/errors plus p50/p95/p99/max/mean
@@ -1627,6 +1452,12 @@ trait ReplySink: Write + Send {
 }
 
 impl ReplySink for io::Stdout {}
+
+impl std::fmt::Debug for dyn ReplySink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ReplySink")
+    }
+}
 
 type SharedWriter = Arc<Mutex<Box<dyn ReplySink>>>;
 
@@ -1880,9 +1711,6 @@ struct Job {
     /// When the reader enqueued the job; the worker's pop time minus this is
     /// the request's queue-wait phase.
     enqueued: Instant,
-    /// The flight's shared limit cell when this job leads a coalesced
-    /// engine run.
-    flight: Option<Arc<AtomicU64>>,
 }
 
 /// Load shedding, run by the transport reader *before* enqueueing an
@@ -1897,11 +1725,9 @@ fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
     if depth == 0 {
         return None;
     }
-    // Relaxed: `queued` is a monotone-in/monotone-out gauge feeding a
-    // heuristic. Admission never *admits unsoundly* on a stale read — a
-    // request slipping past a momentarily low value merely queues one job
-    // deeper, and a stale-high value sheds one request early. Nothing
-    // orders against this load.
+    // Relaxed: `queued` is a gauge feeding a heuristic, and nothing orders
+    // against this load; a stale read queues one job deeper or sheds one
+    // request early.
     let queued = state.queued.load(Ordering::Relaxed);
     if queued == 0 {
         // An empty queue admits unconditionally — skip the p95 histogram
@@ -1910,13 +1736,11 @@ fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
     }
     let workers = state.config.workers.max(1) as u64;
     let p95_us = state.metrics.op(request.op).engine.snapshot().p95();
-    // Cold-start pessimism: before any engine-latency history exists for
-    // this op, a deadline-bearing request is assumed to burn its whole
-    // deadline — deadline-bounded anytime runs on deep trees do exactly
-    // that. Warm or cold, the currently-running jobs count toward the
-    // backlog: a request admitted behind one queued and one running job
-    // waits out both before its own run starts, so a deadline promise has
-    // to price the full stack, not just the queue.
+    // Cold-start pessimism: with no engine-latency history for this op, a
+    // deadline-bearing request is assumed to burn its whole deadline, as
+    // deadline-bounded anytime runs on deep trees do. The running jobs count
+    // toward the backlog too: a new request waits out both them and the
+    // queue before its own run starts.
     let backlog = queued.saturating_add(state.inflight.load(Ordering::Relaxed));
     let est_us = if p95_us == 0 {
         request.deadline_ms.unwrap_or(0).saturating_mul(1000)
@@ -1950,8 +1774,7 @@ fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
 /// needs no queue slot and no worker handoff, which on a lock-step client
 /// saves two scheduler round-trips per request. Returns `None` for misses
 /// and declined partials, whose accounting and resume `engine_op` owns. An
-/// inline hit is too fast to observe via `inspect`, so it skips the
-/// in-flight registry.
+/// inline hit is too fast to observe via `inspect`, so it leads no flight.
 fn serve_inline_hit(state: &ServerState, request: &Request, key: &CacheKey) -> Option<String> {
     let started = Instant::now();
     let cached = state.cache.lock().expect("cache lock").serve(key, request.deadline_ms)?;
@@ -1966,27 +1789,29 @@ enum Routed {
     /// Write this reply immediately (an admission error, an inline control
     /// op or cache hit, or a shed); nothing is enqueued.
     Reply(String),
-    /// Enqueue the admitted request, carrying the flight's shared limit
-    /// cell when it leads a new coalesced engine run.
-    Enqueue { admitted: Admitted, flight: Option<Arc<AtomicU64>> },
+    /// Enqueue the admitted request: `shutdown`, or an engine request that
+    /// leads a new flight.
+    Enqueue(Admitted),
     /// The request joined an identical in-flight run as a waiter; the
-    /// finishing leader will reply. Nothing to enqueue.
+    /// flight will reply. Nothing to enqueue.
     Coalesced,
 }
 
 /// Routes one non-blank request line: [`admit`] it, then answer it inline,
 /// coalesce it onto an identical in-flight engine run, shed it at
-/// admission, or enqueue it. A line that fails admission is answered
-/// inline with its structured error and never takes a queue slot.
+/// admission, or lead a new flight and enqueue it. A line that fails
+/// admission is answered inline with its structured error and never takes a
+/// queue slot.
 ///
 /// Control ops are cheap state snapshots answered right here, which keeps
 /// them responsive when every worker is pinned under engine load — exactly
 /// when `stats` matters most — and they are never shed. `shutdown` stays
 /// on the pool: its reply-then-flag ordering anchors the graceful drain.
 ///
-/// The coalesce check runs *before* admission control: a joiner consumes no
-/// queue slot and no engine run, so an identical request must never be shed
-/// — under a flood of one hot term, admission sees exactly one queued job.
+/// Admission control applies only to a request whose key is not in flight:
+/// a joiner consumes no queue slot and no engine run, so an identical
+/// request is never shed — under a flood of one hot term, admission sees
+/// exactly one queued job.
 fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
     let admitted = match admit(state, line) {
         Ok(admitted) => admitted,
@@ -1995,52 +1820,25 @@ fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
     let request = &admitted.request;
     let Some(Resolved { key, .. }) = &admitted.engine else {
         if request.op == Op::Shutdown {
-            return Routed::Enqueue { admitted, flight: None };
+            return Routed::Enqueue(admitted);
         }
-        return Routed::Reply(serve_admitted(state, &admitted, 0, &|_| {}, None).reply);
+        return Routed::Reply(serve_admitted(state, &admitted, 0, &|_| {}).reply);
     };
     // Warm hits are answered right here on the transport thread; everything
     // else pays the queue.
     if let Some(reply) = serve_inline_hit(state, request, key) {
         return Routed::Reply(reply);
     }
-    let join = |group: &mut FlightGroup| {
-        group
-            .limit_ms
-            .fetch_max(request.deadline_ms.unwrap_or(u64::MAX), Ordering::Relaxed);
-        group.waiters.push(Waiter {
-            id: request.id.clone(),
-            out: Arc::clone(out),
-            deadline_ms: request.deadline_ms,
-            stream: request.stream,
-            registered: Instant::now(),
-        });
-        state.coalesced_waiters.fetch_add(1, Ordering::Relaxed);
-    };
-    {
-        let mut flights = state.singleflight.lock().expect("singleflight lock");
-        if let Some(group) = flights.get_mut(key) {
-            join(group);
-            return Routed::Coalesced;
+    // The shed path renders, traces and records metrics: outside the
+    // flight-table lock.
+    if !flights(state).contains(key) {
+        if let Some(reply) = admission_reply(state, request) {
+            return Routed::Reply(reply);
         }
     }
-    // Not in flight: normal admission, outside the singleflight lock (the
-    // shed path renders, traces and records metrics).
-    if let Some(reply) = admission_reply(state, request) {
-        return Routed::Reply(reply);
-    }
-    let limit_ms = Arc::new(AtomicU64::new(request.deadline_ms.unwrap_or(u64::MAX)));
-    let mut flights = state.singleflight.lock().expect("singleflight lock");
-    match flights.entry(key.clone()) {
-        std::collections::hash_map::Entry::Occupied(mut entry) => {
-            // Another reader became the leader between our two lock holds.
-            join(entry.get_mut());
-            Routed::Coalesced
-        }
-        std::collections::hash_map::Entry::Vacant(entry) => {
-            entry.insert(FlightGroup { limit_ms: Arc::clone(&limit_ms), waiters: Vec::new() });
-            Routed::Enqueue { admitted, flight: Some(limit_ms) }
-        }
+    match arrive(state, request, key, ReplyTo::Conn(Arc::clone(out))) {
+        Role::Lead => Routed::Enqueue(admitted),
+        Role::Join => Routed::Coalesced,
     }
 }
 
@@ -2073,25 +1871,29 @@ fn route_or_enqueue(
     if line.trim().is_empty() {
         return true;
     }
-    let (admitted, flight) = match route_line(state, line, out) {
+    let admitted = match route_line(state, line, out) {
         Routed::Reply(reply) => {
             write_reply_line(out, reply);
             return true;
         }
         Routed::Coalesced => return true,
-        Routed::Enqueue { admitted, flight } => (admitted, flight),
+        Routed::Enqueue(admitted) => admitted,
     };
     // Relaxed: the gauge feeds heuristics (admission, stats), not an
     // ordering-sensitive protocol — see `admission_reply`.
     state.queued.fetch_add(1, Ordering::Relaxed);
-    let job = Job { admitted, out: Arc::clone(out), enqueued: Instant::now(), flight };
+    let job = Job { admitted, out: Arc::clone(out), enqueued: Instant::now() };
     if let Err(mpsc::SendError(job)) = jobs.send(job) {
         state.queued.fetch_sub(1, Ordering::Relaxed);
-        // The pool is gone: retire the would-be leader's singleflight entry
-        // so it cannot absorb further joiners.
-        if let (Some(_), Some(Resolved { key, .. })) = (&job.flight, &job.admitted.engine) {
-            if let Ok(mut flights) = state.singleflight.lock() {
-                flights.remove(key);
+        // The pool is gone, so no flight will ever run: this request and
+        // every waiter get a structured error.
+        let request = &job.admitted.request;
+        let answer = Answer::new(&request.id, Some(request.op), job.enqueued);
+        write_reply_line(out, finish(state, answer, Err(retired_error())));
+        let retired = flights(state).retire();
+        for (key, flight) in retired {
+            for waiter in &flight.waiters {
+                reply_waiter(state, flight.op, key.term, waiter, &Err(retired_error()));
             }
         }
         return false;
@@ -2135,9 +1937,8 @@ fn run_job(state: &ServerState, job: Job) {
     // each under its own lock acquisition so replies to interleaved requests
     // on the same connection are never blocked for a whole run.
     let emit_frame = |frame: &str| write_reply_line(&job.out, frame.into());
-    let flight = job.flight.as_deref();
     let LineOutcome { reply, drop_reply } =
-        serve_admitted(state, &job.admitted, queue_us, &emit_frame, flight);
+        serve_admitted(state, &job.admitted, queue_us, &emit_frame);
     if drop_reply {
         // Injected fault: half the bytes, then a hard close mid-line.
         if let Ok(mut out) = job.out.lock() {
@@ -2404,6 +2205,22 @@ mod tests {
         let next = s.handle_line(r#"{"op":"stats"}"#).unwrap();
         let stats = result_of(&next);
         assert_eq!(stats.get("inflight").and_then(Value::as_u64), Some(0));
+    }
+
+    #[test]
+    fn a_run_that_completes_after_its_deadline_is_served() {
+        // One Monte-Carlo run checks the deadline only before it starts, so
+        // the million steps finish long after the 1 ms deadline.
+        let s = server();
+        let request = r#"{"op":"simulate","program":"(fix phi x. phi x) 0","runs":1,"steps":1000000,"deadline_ms":1}"#;
+        let reply = s.handle_line(request).unwrap();
+        let result = result_of(&reply);
+        assert_eq!(result.get("out_of_fuel").and_then(Value::as_u64), Some(1));
+        let v: Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v.get("cache").and_then(Value::as_str), Some("miss"));
+        let again: Value = serde_json::from_str(&s.handle_line(request).unwrap()).unwrap();
+        assert_eq!(again.get("cache").and_then(Value::as_str), Some("hit"));
+        assert_eq!(again.get("result"), Some(&result));
     }
 
     #[test]
@@ -2741,7 +2558,7 @@ mod tests {
         state.queued.store(0, Ordering::SeqCst);
         let routed = route_line(state, lower, &out);
         assert!(
-            matches!(routed, Routed::Enqueue { flight: Some(_), .. }),
+            matches!(routed, Routed::Enqueue(_)),
             "first engine op leads a flight"
         );
         state.queued.store(2, Ordering::SeqCst);
@@ -3124,10 +2941,17 @@ mod tests {
         let program = "if sample <= 576460752303423487/1152921504606846976 then 0 else (fix f x. f x) 0";
         let draining = AtomicBool::new(false);
         let started = Instant::now();
-        let budget = RunBudget { started, limit: None, draining: &draining, flight_limit: None };
+        let unbounded = AtomicU64::new(u64::MAX);
+        let budget = RunBudget {
+            started,
+            limit_ms: &unbounded,
+            draining: &draining,
+            tick: &|_| {},
+            last_tick: Cell::new(None),
+        };
         let progress = ProgressCell::new();
         let term = parse_term(program).unwrap();
-        let entry = lower_payload(&term, 40, &budget, None, &progress, None).unwrap();
+        let entry = lower_payload(&term, 40, &budget, None, &progress).unwrap();
         assert_eq!(
             entry.payload.get("probability").and_then(Value::as_str),
             Some("0.4999999999")
