@@ -363,12 +363,12 @@ pub fn render_dot(provenance: &Provenance, top: Option<usize>) -> String {
     let mut trie: Vec<(String, usize)> = vec![(String::new(), root)];
     let lookup = |dot: &mut DotBuilder,
                       trie: &mut Vec<(String, usize)>,
-                      branches: &[Branch],
+                      branches: &mut dyn Iterator<Item = Branch>,
                       labels: &[Option<String>]|
      -> usize {
         let mut prefix = String::new();
         let mut node = trie[0].1;
-        for (i, b) in branches.iter().enumerate() {
+        for (i, b) in branches.enumerate() {
             let step = match b {
                 Branch::Then => 'T',
                 Branch::Else => 'E',
@@ -399,7 +399,7 @@ pub fn render_dot(provenance: &Provenance, top: Option<usize>) -> String {
                 .map(|c| Some(c.to_string()))
                 .collect()
         };
-        let parent = lookup(&mut dot, &mut trie, &path.branches, &labels);
+        let parent = lookup(&mut dot, &mut trie, &mut path.branches.iter().copied(), &labels);
         let witness_mark = match &path.witness {
             Some(w) if w.replayed => ", witness ok",
             Some(_) => ", WITNESS FAILED",
@@ -424,7 +424,7 @@ pub fn render_dot(provenance: &Provenance, top: Option<usize>) -> String {
     }
     let frontier_shown = provenance.frontier_paths.iter().take(DOT_FRONTIER_LEAVES);
     for f in frontier_shown {
-        let parent = lookup(&mut dot, &mut trie, &f.branches, &[]);
+        let parent = lookup(&mut dot, &mut trie, &mut f.branches.iter(), &[]);
         let leaf = dot.node(
             &format!("paused\ndepth {} steps {}", f.depth(), f.steps),
             "shape=box, style=dashed",

@@ -53,7 +53,7 @@ pub use provenance::{
     explain, try_explain, ExplainConfig, FrontierSummary, PathProvenance, Provenance, Witness,
 };
 pub use symbolic::{
-    explore, explore_substitution, frontier_seeds, try_explore_seeded, Branch, ConstraintKind,
-    Exploration, ExplorationConfig, FrontierPath, ReplaySeed, SymConstraint, SymValue,
-    SymbolicPath,
+    explore, explore_substitution, frontier_seeds, try_explore_seeded, Branch, BranchPath,
+    ConstraintKind, Exploration, ExplorationConfig, FrontierPath, ReplaySeed, SymConstraint,
+    SymValue, SymbolicPath,
 };

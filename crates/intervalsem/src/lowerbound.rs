@@ -335,6 +335,7 @@ pub fn try_lower_bound<E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BranchPath;
     use probterm_spcf::catalog;
     use probterm_spcf::parse_term;
 
@@ -410,6 +411,25 @@ mod tests {
                 r.probability
             );
         }
+    }
+
+    #[test]
+    fn results_undefined_by_log_do_not_count_as_termination() {
+        // A result holding `log(V)` is stuck wherever `V ≤ 0`, so it
+        // terminates only where `V > 0`. Counting every such path as
+        // terminated put the first bound at 1 and the last at 0.9755.
+        let r = lb("log (sample - 2)", 20);
+        assert_eq!(r.probability, Rational::zero());
+        let r = lb("1 + log (sample - 1/2)", 20);
+        assert_eq!(r.probability, Rational::half());
+        // Terminates iff α₀·α₁ > 1/2: Pterm = (1 − ln 2)/2 ≈ 0.153426409720027345.
+        let r = lb("if sample * sample <= 1/2 then log (sample - 2) else 0", 20);
+        assert!(
+            r.probability <= Rational::parse("0.15342640972002735").unwrap(),
+            "bound {} is above Pterm",
+            r.probability
+        );
+        assert!(r.probability >= Rational::parse("0.15").unwrap(), "bound {}", r.probability);
     }
 
     #[test]
@@ -551,6 +571,65 @@ mod tests {
             resumed_steps < full_steps,
             "resume re-explored measured paths: {resumed_steps} vs {full_steps} steps"
         );
+    }
+
+    #[test]
+    fn resumes_from_seeds_past_128_branches_equal_from_scratch_runs() {
+        // Geo's one open path takes a branch per recursion, so at depth
+        // 4,000 the frontier lies past the 128 decisions a path keeps inline.
+        // Cut a run there, cut its resumption again while it is still
+        // replaying that deep seed, then resume to the end: the tallies must
+        // equal a from-scratch run's exactly.
+        let geo = parse_term("(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0").unwrap();
+        let config = LowerBoundConfig::default().with_depth(4_000).with_profile(true);
+        let full = lower_bound(&geo, &config);
+        // The first run stops at the first poll past 2,000 steps deep; the
+        // second at its second poll, 256 steps into the replay.
+        let mut deep = |poll: Poll<'_>| match poll {
+            Poll::Explore { depth, .. } if depth > 2_000 => Err(()),
+            _ => Ok(()),
+        };
+        let first = try_lower_bound(&geo, &config, None, &mut deep);
+        assert!(first.interruption.is_some());
+        let seed = &first.checkpoint.frontier[0];
+        assert!(seed.branches.len() > 200, "seed only {} branches deep", seed.branches.len());
+        let mut polls = 0;
+        let mut early = |poll: Poll<'_>| {
+            polls += usize::from(matches!(poll, Poll::Explore { .. }));
+            if polls == 2 {
+                Err(())
+            } else {
+                Ok(())
+            }
+        };
+        let second = try_lower_bound(&geo, &config, Some(&first.checkpoint), &mut early);
+        assert!(second.interruption.is_some());
+        // Cut mid-replay, the path still names its whole seed.
+        let branches = |c: &LowerBoundCheckpoint| -> Vec<BranchPath> {
+            c.frontier.iter().map(|seed| seed.branches.clone()).collect()
+        };
+        assert!(second.checkpoint.frontier[0].steps < seed.steps);
+        assert_eq!(branches(&second.checkpoint), branches(&first.checkpoint));
+        let third = try_lower_bound::<std::convert::Infallible>(
+            &geo,
+            &config,
+            Some(&second.checkpoint),
+            &mut |_| Ok(()),
+        );
+        assert!(third.interruption.is_none());
+        let resumed = &third.result;
+        assert_eq!(resumed.probability, full.probability);
+        assert_eq!(resumed.expected_steps, full.expected_steps);
+        assert_eq!(resumed.paths, full.paths);
+        assert_eq!(resumed.stuck_paths, full.stuck_paths);
+        assert_eq!(resumed.unexplored_paths, full.unexplored_paths);
+        let scratch = try_lower_bound::<std::convert::Infallible>(
+            &geo,
+            &config,
+            None,
+            &mut |_| Ok(()),
+        );
+        assert_eq!(third.checkpoint.frontier, scratch.checkpoint.frontier);
     }
 
     #[test]

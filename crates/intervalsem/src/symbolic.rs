@@ -28,12 +28,20 @@
 //!
 //! # Cost of a fork and of a volume
 //!
-//! A path's branch decisions and constraints live in a shared-prefix
-//! persistent list, so a fork costs O(1) in the path's history, however deep
-//! the path: both children share the parent's list and each pushes one entry.
-//! The history is copied out into [`SymbolicPath`] or [`FrontierPath`]
-//! vectors only when the path terminates or is cut off, and a frontier path's
-//! branches are shared, not copied, with the [`ReplaySeed`]s of a checkpoint.
+//! A path carries its branch decisions as a [`BranchPath`]: one bit per
+//! decision, the first 128 in two inline words, so a fork copies 32 bytes
+//! and pushes one bit. Its constraints live in a shared-prefix persistent
+//! list: a fork pushes one node holding the guard inline, both children
+//! share it, and each reads the comparison (`V ≤ 0` or `V > 0`) off its own
+//! last bit. A fork therefore costs one allocation however deep the path, a
+//! cut-off path's [`FrontierPath`] is its bits, moved, and a checkpoint's
+//! [`ReplaySeed`] a copy of them. The list is copied out into owned
+//! [`SymConstraint`]s only when the path terminates.
+//!
+//! A resumed path starts from its seed's bits with none of them decided and
+//! follows them as its oracle, so a path cut off mid-replay still names its
+//! whole seed.
+//!
 //! [`SymbolicPath::exact_probability`] reads each constraint as a sparse
 //! affine form holding only its nonzero coefficients, so apart from the
 //! volume oracle it costs O(sample variables + total size of the
@@ -47,14 +55,15 @@
 //! same exact arithmetic, so every volume is the same rational; in Table 1
 //! every group has one variable.
 //!
-//! A fork past the path budget costs one history walk and no clone. The
-//! queue is FIFO and the budget cut fires on pop number `max_paths + 1`, so
-//! the n-th path pushed is the n-th popped: once `max_paths` paths have been
-//! pushed, no later child is ever stepped, and its frontier record (the
-//! parent's branches plus its own, one step past the parent) is known at the
-//! fork. Both records go to a list kept behind the queue, which every
-//! abandonment appends after the queue, so the frontier, the polls and the
-//! profile are exactly those of a run that queues every child.
+//! A fork past the path budget costs two copies of the parent's bits and no
+//! clone of the machine. The queue is FIFO and the budget cut fires on pop
+//! number `max_paths + 1`, so the n-th path pushed is the n-th popped: once
+//! `max_paths` paths have been pushed, no later child is ever stepped, and
+//! its frontier record (the parent's branches plus its own, one step past
+//! the parent) is known at the fork. Both records go to a list kept behind
+//! the queue, which every abandonment appends after the queue, so the
+//! frontier, the polls and the profile are exactly those of a run that
+//! queues every child.
 //!
 //! # Cost of a box sweep
 //!
@@ -123,7 +132,6 @@ use probterm_telemetry::{EngineProfile, ProfileCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// A symbolic value of base type: an expression over sample variables,
 /// rational constants and primitive functions.
@@ -302,6 +310,23 @@ impl SymValue {
     /// Returns `true` if the value contains no sample variables.
     pub fn is_constant(&self) -> bool {
         self.max_var().is_none()
+    }
+
+    /// Appends `V > 0` for every `log(V)` sub-term of the value, innermost
+    /// first: the conditions under which the value is defined, as `log` is
+    /// the only partial primitive. A path ending in a value that holds a
+    /// postponed primitive has not yet applied it; the concrete machine
+    /// would, and would get stuck wherever the value is undefined, so a
+    /// terminated path records these constraints with its own.
+    pub fn push_domain_constraints(&self, out: &mut Vec<SymConstraint>) {
+        if let SymValue::Prim(p, args) = self {
+            for arg in args {
+                arg.push_domain_constraints(out);
+            }
+            if *p == Prim::Log {
+                out.push(SymConstraint { value: args[0].clone(), kind: ConstraintKind::Positive });
+            }
+        }
     }
 }
 
@@ -607,6 +632,113 @@ pub enum Branch {
     Then,
     /// The else-branch (`𝒓`).
     Else,
+}
+
+impl Branch {
+    /// The branch a [`BranchPath`] bit stands for: `0` then, `1` else.
+    fn of_bit(bit: bool) -> Branch {
+        if bit {
+            Branch::Else
+        } else {
+            Branch::Then
+        }
+    }
+
+    /// The constraint a path taking this branch of a guard `V` records:
+    /// `V ≤ 0` for then, `V > 0` for else.
+    fn kind(self) -> ConstraintKind {
+        match self {
+            Branch::Then => ConstraintKind::NonPositive,
+            Branch::Else => ConstraintKind::Positive,
+        }
+    }
+}
+
+/// A path's branch decisions, one bit each (`0` then, `1` else), in 32
+/// bytes: a length, two inline words for the first 128 decisions and a
+/// boxed spill for the rest. Copying one to fork a path therefore allocates
+/// nothing unless the path is deeper than 128 branches.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct BranchPath {
+    len: u32,
+    inline: [u64; 2],
+    // A thin pointer: a boxed slice would make the path 40 bytes.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<u64>>>,
+}
+
+impl BranchPath {
+    /// Decisions kept in the inline words.
+    const INLINE: usize = 128;
+
+    /// The number of decisions.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` when no decision has been taken.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends one decision.
+    pub fn push(&mut self, branch: Branch) {
+        let i = self.len();
+        let bit = u64::from(branch == Branch::Else) << (i % 64);
+        if i < Self::INLINE {
+            self.inline[i / 64] |= bit;
+        } else {
+            let spill = self.spill.get_or_insert_with(Default::default);
+            if i.is_multiple_of(64) {
+                spill.push(0);
+            }
+            *spill.last_mut().expect("a word per started 64 decisions") |= bit;
+        }
+        self.len = u32::try_from(i + 1).expect("fewer than 2³² branch decisions");
+    }
+
+    /// The `i`-th decision, `None` past the end.
+    pub fn get(&self, i: usize) -> Option<Branch> {
+        if i >= self.len() {
+            return None;
+        }
+        let word = match i.checked_sub(Self::INLINE) {
+            None => self.inline[i / 64],
+            Some(j) => self.spill.as_ref().expect("decisions past the inline words")[j / 64],
+        };
+        Some(Branch::of_bit(word >> (i % 64) & 1 == 1))
+    }
+
+    /// The decisions, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = Branch> + '_ {
+        (0..self.len()).map(|i| self.get(i).expect("in range"))
+    }
+}
+
+impl FromIterator<Branch> for BranchPath {
+    fn from_iter<I: IntoIterator<Item = Branch>>(iter: I) -> BranchPath {
+        let mut path = BranchPath::default();
+        for branch in iter {
+            path.push(branch);
+        }
+        path
+    }
+}
+
+impl fmt::Debug for BranchPath {
+    /// The `T`/`E` string of [`ReplaySeed::render`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let text: String = self.iter().map(branch_char).collect();
+        write!(f, "BranchPath({text:?})")
+    }
+}
+
+/// A branch as one character of a rendered [`ReplaySeed`].
+fn branch_char(branch: Branch) -> char {
+    match branch {
+        Branch::Then => 'T',
+        Branch::Else => 'E',
+    }
 }
 
 /// A terminating symbolic path: a conditional oracle together with the path
@@ -1091,9 +1223,8 @@ pub struct FrontierPath {
     /// Small-step reductions performed before the path was cut off.
     pub steps: usize,
     /// Branch decisions taken so far — `branches.len()` is the path's depth
-    /// in the symbolic execution tree. Shared with the [`ReplaySeed`]s that
-    /// [`frontier_seeds`] makes from this path.
-    pub branches: Arc<[Branch]>,
+    /// in the symbolic execution tree.
+    pub branches: BranchPath,
 }
 
 impl FrontierPath {
@@ -1213,7 +1344,7 @@ pub struct ReplaySeed {
     /// Small-step reductions the path had performed when it was cut off.
     pub steps: usize,
     /// Branch decisions from the root to the paused node.
-    pub branches: Arc<[Branch]>,
+    pub branches: BranchPath,
 }
 
 impl ReplaySeed {
@@ -1222,12 +1353,7 @@ impl ReplaySeed {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = format!("{}:", self.steps);
-        for b in self.branches.iter() {
-            out.push(match b {
-                Branch::Then => 'T',
-                Branch::Else => 'E',
-            });
-        }
+        out.extend(self.branches.iter().map(branch_char));
         out
     }
 
@@ -1243,45 +1369,38 @@ impl ReplaySeed {
                 'E' => Some(Branch::Else),
                 _ => None,
             })
-            .collect::<Option<Arc<[Branch]>>>()?;
+            .collect::<Option<BranchPath>>()?;
         Some(ReplaySeed { steps, branches })
     }
 }
 
 /// Converts a checkpointed frontier into the seeds a resumed exploration
 /// takes: the [`ReplaySeed::render`]-compatible data of every frontier path.
-/// Each seed shares its path's branch storage, so a seed costs a reference
-/// count, not a copy.
+/// A seed copies its path's packed branches, which allocates only for a
+/// path deeper than 128 branches.
 #[must_use]
 pub fn frontier_seeds(frontier: &[FrontierPath]) -> Vec<ReplaySeed> {
     frontier
         .iter()
-        .map(|p| ReplaySeed { steps: p.steps, branches: Arc::clone(&p.branches) })
+        .map(|p| ReplaySeed { steps: p.steps, branches: p.branches.clone() })
         .collect()
 }
 
-/// One entry of a path's history: a recorded constraint `value ⊲⊳ 0` of
-/// comparison `kind`, together with the branch decision that recorded it
-/// (`None` for a `score` constraint). The value is shared: both children of
-/// a fork record the same guard, so the fork moves it into one `Rc` that
-/// both entries hold instead of copying it.
-struct Decision {
-    branch: Option<Branch>,
-    kind: ConstraintKind,
-    value: Rc<SymValue>,
-}
-
-/// A path's history as a shared-prefix persistent list, newest entry first.
-/// Cloning shares the whole list, so forking a path costs O(1) however deep
-/// it is; each child then pushes its own entry in front of the shared part.
-/// A node is three words: the entry's two tags, its value handle and the
-/// link. A path copies its history out into vectors, and its constraints
-/// into owned [`SymConstraint`]s, only when it terminates or is cut off.
+/// A path's recorded constraints as a shared-prefix persistent list, newest
+/// first. Cloning shares the whole list, so forking a path costs O(1)
+/// however deep it is.
 #[derive(Clone, Default)]
 struct History(Option<Rc<HistoryNode>>);
 
+/// One recorded constraint: a `score` value (`≥ 0`), or the guard of a
+/// symbolic conditional. A fork pushes one guard node that both children
+/// share, and each child reads the node's comparison off its own branch
+/// decision: `V ≤ 0` on the then side, `V > 0` on the else side. A path
+/// copies its nodes out into owned [`SymConstraint`]s only when it
+/// terminates.
 struct HistoryNode {
-    decision: Decision,
+    value: SymValue,
+    score: bool,
     rest: History,
 }
 
@@ -1298,36 +1417,27 @@ impl Drop for HistoryNode {
 }
 
 impl History {
-    fn push(&mut self, branch: Option<Branch>, kind: ConstraintKind, value: Rc<SymValue>) {
+    fn push(&mut self, value: SymValue, score: bool) {
         let rest = History(self.0.take());
-        self.0 = Some(Rc::new(HistoryNode { decision: Decision { branch, kind, value }, rest }));
+        self.0 = Some(Rc::new(HistoryNode { value, score, rest }));
     }
 
-    /// The entries, newest first.
-    fn iter(&self) -> impl Iterator<Item = &Decision> {
-        std::iter::successors(self.0.as_deref(), |node| node.rest.0.as_deref())
-            .map(|node| &node.decision)
-    }
-
-    /// The branch decisions, oldest first.
-    fn branches(&self) -> Vec<Branch> {
-        let mut branches = Vec::new();
-        self.write_branches(&mut branches);
-        branches
-    }
-
-    /// Overwrites `out` with the branch decisions, oldest first.
-    fn write_branches(&self, out: &mut Vec<Branch>) {
-        out.clear();
-        out.extend(self.iter().filter_map(|d| d.branch));
-        out.reverse();
-    }
-
-    /// The constraints, oldest first.
-    fn constraints(&self) -> Vec<SymConstraint> {
-        let mut constraints: Vec<SymConstraint> = self
-            .iter()
-            .map(|d| SymConstraint { value: SymValue::clone(&d.value), kind: d.kind })
+    /// The constraints, oldest first, of a path whose first `decided`
+    /// branch decisions are `branches`'.
+    fn constraints(&self, branches: &BranchPath, decided: usize) -> Vec<SymConstraint> {
+        let nodes = std::iter::successors(self.0.as_deref(), |node| node.rest.0.as_deref());
+        // Walking newest first, the guards meet the decisions last first.
+        let mut fork = decided;
+        let mut constraints: Vec<SymConstraint> = nodes
+            .map(|node| {
+                let kind = if node.score {
+                    ConstraintKind::NonNegative
+                } else {
+                    fork -= 1;
+                    branches.get(fork).expect("one decision per guard").kind()
+                };
+                SymConstraint { value: node.value.clone(), kind }
+            })
             .collect();
         constraints.reverse();
         constraints
@@ -1335,42 +1445,26 @@ impl History {
 }
 
 /// One in-flight path of the exploration: a paused machine plus the symbolic
-/// bookkeeping (sample counter, history). `replay` holds the branches of the
-/// [`ReplaySeed`] a resumed path is being driven back along, and how many of
-/// them it has consumed — `None` once they are used up, and for every path of
-/// a fresh exploration.
+/// bookkeeping (sample counter, history, branch decisions). A path has taken
+/// the first `decided` of its `branches`; for a path resuming a
+/// [`ReplaySeed`], the rest are the seed's decisions still to replay, and
+/// for every other path there is no rest.
 struct PathState<'a> {
     machine: Machine<'a, SymValue, NoAtom>,
     samples: usize,
     history: History,
-    replay: Option<(Arc<[Branch]>, usize)>,
+    branches: BranchPath,
+    decided: usize,
 }
 
 impl PathState<'_> {
-    /// The next recorded decision of a pending replay, if any.
-    fn next_replayed(&mut self) -> Option<Branch> {
-        let (seed, consumed) = self.replay.as_mut()?;
-        let branch = seed[*consumed];
-        *consumed += 1;
-        if *consumed == seed.len() {
-            self.replay = None;
-        }
-        Some(branch)
-    }
-
     /// The frontier record for an abandoned path. A path cut off mid-replay
     /// records its seed's full branch list: recording only the replayed
     /// prefix would name an *ancestor* of the checkpointed node, and resuming
     /// from an ancestor re-explores sibling subtrees whose mass the previous
-    /// run already counted — double counting, i.e. an unsound bound. (The
-    /// replayed prefix is exactly the history's branches, so the seed is the
-    /// prefix plus the unconsumed rest.)
+    /// run already counted — double counting, i.e. an unsound bound.
     fn into_frontier(self) -> FrontierPath {
-        let branches = match self.replay {
-            Some((seed, _)) => seed,
-            None => self.history.branches().into(),
-        };
-        FrontierPath { steps: self.machine.steps(), branches }
+        FrontierPath { steps: self.machine.steps(), branches: self.branches }
     }
 }
 
@@ -1425,12 +1519,12 @@ pub fn try_explore_seeded<'t, E>(
     ) -> Result<(), E>,
 ) -> (Exploration, Option<E>) {
     let profile = config.profile.then(ProfileCell::shared);
-    let new_machine = |replay: Option<(Arc<[Branch]>, usize)>| {
+    let new_machine = |branches: BranchPath| {
         let mut machine = Machine::new(sym_spec(), term, config.max_steps_per_path);
         if let Some(cell) = &profile {
             machine.set_profile(Rc::clone(cell));
         }
-        PathState { machine, samples: 0, history: History::default(), replay }
+        PathState { machine, samples: 0, history: History::default(), branches, decided: 0 }
     };
     let mut queue: VecDeque<PathState<'_>> = VecDeque::new();
     let mut result = Exploration {
@@ -1442,7 +1536,7 @@ pub fn try_explore_seeded<'t, E>(
         profile: None,
     };
     match seeds {
-        None => queue.push_back(new_machine(None)),
+        None => queue.push_back(new_machine(BranchPath::default())),
         Some(seeds) => {
             for seed in seeds {
                 if seed.steps >= config.max_steps_per_path {
@@ -1451,14 +1545,11 @@ pub fn try_explore_seeded<'t, E>(
                     // only to run out of fuel at the same node. Re-tally it
                     // into the frontier directly.
                     result.out_of_fuel += 1;
-                    result.frontier.push(FrontierPath {
-                        steps: seed.steps,
-                        branches: Arc::clone(&seed.branches),
-                    });
+                    result
+                        .frontier
+                        .push(FrontierPath { steps: seed.steps, branches: seed.branches.clone() });
                 } else {
-                    let replay =
-                        (!seed.branches.is_empty()).then(|| (Arc::clone(&seed.branches), 0));
-                    queue.push_back(new_machine(replay));
+                    queue.push_back(new_machine(seed.branches.clone()));
                 }
             }
         }
@@ -1470,7 +1561,6 @@ pub fn try_explore_seeded<'t, E>(
     // records that wait behind the queue.
     let mut pushed = queue.len();
     let mut overflow: Vec<FrontierPath> = Vec::new();
-    let mut fork_branches: Vec<Branch> = Vec::new();
     let mut processed = 0usize;
     let mut work = 0usize;
     let mut interruption: Option<E> = None;
@@ -1505,12 +1595,17 @@ pub fn try_explore_seeded<'t, E>(
             }
             match path.machine.next_event() {
                 Event::Done(value) => {
+                    let result_value = value.into_lit();
+                    let mut constraints = path.history.constraints(&path.branches, path.decided);
+                    if let Some(v) = &result_value {
+                        v.push_domain_constraints(&mut constraints);
+                    }
                     let terminated = SymbolicPath {
                         sample_count: path.samples,
-                        branches: path.history.branches(),
-                        constraints: path.history.constraints(),
+                        branches: path.branches.iter().take(path.decided).collect(),
+                        constraints,
                         steps: path.machine.steps(),
-                        result: value.into_lit(),
+                        result: result_value,
                     };
                     let hooked = on_terminated(&terminated, check);
                     result.terminated.push(terminated);
@@ -1566,27 +1661,21 @@ pub fn try_explore_seeded<'t, E>(
                     if let SymValue::Const(r) = &guard {
                         let take_then = !r.is_positive();
                         path.machine.resume_branch(take_then);
-                    } else if let Some(b) = path.next_replayed() {
-                        let take_then = matches!(b, Branch::Then);
-                        path.machine.resume_branch(take_then);
-                        let kind = if take_then {
-                            ConstraintKind::NonPositive
-                        } else {
-                            ConstraintKind::Positive
-                        };
-                        path.history.push(Some(b), kind, Rc::new(guard));
+                    } else if let Some(b) = path.branches.get(path.decided) {
+                        path.machine.resume_branch(b == Branch::Then);
+                        path.decided += 1;
+                        path.history.push(guard, false);
                     } else if pushed >= config.max_paths {
                         // Neither child is ever popped, so each becomes its
-                        // frontier record now: one history walk into a
-                        // reused buffer, one allocation per record, no clone.
+                        // frontier record now: a copy of the parent's
+                        // branches plus its own, and no clone of the machine.
                         // The profile still sees the fork and the two branch
                         // steps the children would have taken.
                         let steps = path.machine.steps() + 1;
-                        path.history.write_branches(&mut fork_branches);
-                        fork_branches.push(Branch::Then);
-                        let then_branches = Arc::from(&fork_branches[..]);
-                        *fork_branches.last_mut().expect("just pushed") = Branch::Else;
-                        let else_branches = Arc::from(&fork_branches[..]);
+                        let mut then_branches = path.branches.clone();
+                        then_branches.push(Branch::Then);
+                        let mut else_branches = std::mem::take(&mut path.branches);
+                        else_branches.push(Branch::Else);
                         overflow.push(FrontierPath { steps, branches: then_branches });
                         overflow.push(FrontierPath { steps, branches: else_branches });
                         if let Some(cell) = &profile {
@@ -1596,22 +1685,20 @@ pub fn try_explore_seeded<'t, E>(
                         }
                         break;
                     } else {
+                        // Both children record the guard in one shared node.
+                        path.history.push(guard, false);
+                        path.decided += 1;
                         let mut else_path = PathState {
                             machine: path.machine.clone(),
                             samples: path.samples,
                             history: path.history.clone(),
-                            replay: None,
+                            branches: path.branches.clone(),
+                            decided: path.decided,
                         };
-                        // Both children record the same guard: one shared copy.
-                        let guard = Rc::new(guard);
                         path.machine.resume_branch(true);
-                        path.history.push(
-                            Some(Branch::Then),
-                            ConstraintKind::NonPositive,
-                            Rc::clone(&guard),
-                        );
+                        path.branches.push(Branch::Then);
                         else_path.machine.resume_branch(false);
-                        else_path.history.push(Some(Branch::Else), ConstraintKind::Positive, guard);
+                        else_path.branches.push(Branch::Else);
                         queue.push_back(path);
                         queue.push_back(else_path);
                         pushed += 2;
@@ -1629,7 +1716,7 @@ pub fn try_explore_seeded<'t, E>(
                     }
                     SymValue::Const(_) => path.machine.resume_lit(v),
                     _ => {
-                        path.history.push(None, ConstraintKind::NonNegative, Rc::new(v.clone()));
+                        path.history.push(v.clone(), true);
                         path.machine.resume_lit(v);
                     }
                 },
@@ -1779,16 +1866,19 @@ pub fn explore_substitution(term: &Term, config: &ExplorationConfig) -> Explorat
             result.out_of_fuel += 1 + queue.len();
             result.frontier.push(FrontierPath {
                 steps: state.steps,
-                branches: state.branches.into(),
+                branches: state.branches.into_iter().collect(),
             });
             result.frontier.extend(queue.drain(..).map(|s| FrontierPath {
                 steps: s.steps,
-                branches: s.branches.into(),
+                branches: s.branches.into_iter().collect(),
             }));
             break;
         }
         loop {
             if state.term.is_value() {
+                if let Some(value) = state.term.as_symvalue() {
+                    value.push_domain_constraints(&mut state.constraints);
+                }
                 result.terminated.push(SymbolicPath {
                     sample_count: state.samples,
                     branches: state.branches,
@@ -1802,7 +1892,7 @@ pub fn explore_substitution(term: &Term, config: &ExplorationConfig) -> Explorat
                 result.out_of_fuel += 1;
                 result.frontier.push(FrontierPath {
                     steps: state.steps,
-                    branches: std::mem::take(&mut state.branches).into(),
+                    branches: state.branches.drain(..).collect(),
                 });
                 break;
             }
@@ -2035,14 +2125,58 @@ mod tests {
     fn replay_seeds_round_trip_and_reject_garbage() {
         let seed = ReplaySeed {
             steps: 42,
-            branches: vec![Branch::Then, Branch::Else, Branch::Else, Branch::Then].into(),
+            branches: [Branch::Then, Branch::Else, Branch::Else, Branch::Then].into_iter().collect(),
         };
         assert_eq!(seed.render(), "42:TEET");
         assert_eq!(ReplaySeed::parse("42:TEET"), Some(seed));
-        assert_eq!(ReplaySeed::parse("7:"), Some(ReplaySeed { steps: 7, branches: Arc::from([]) }));
+        let empty = ReplaySeed { steps: 7, branches: BranchPath::default() };
+        assert_eq!(ReplaySeed::parse("7:"), Some(empty));
         for bad in ["", "TEET", "42", "42:TXET", "-1:T", "9:te"] {
             assert_eq!(ReplaySeed::parse(bad), None, "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn packed_branch_paths_agree_with_a_vector_of_branches() {
+        // Decision strings of every length up to 300, across the 128 inline
+        // decisions and two words into the spill: the packed path must read
+        // back as the vector, render as the vector's `T`/`E` text and parse
+        // back to itself.
+        let mut rng = Rng(0xb175_2021);
+        for case in 0..500 {
+            let len = if case <= 300 { case } else { rng.below(301) };
+            let branches: Vec<Branch> =
+                (0..len).map(|_| Branch::of_bit(rng.below(2) == 1)).collect();
+            let mut path = BranchPath::default();
+            for (i, &b) in branches.iter().enumerate() {
+                assert_eq!(path.len(), i);
+                path.push(b);
+            }
+            assert_eq!(path.len(), len);
+            assert_eq!(path.is_empty(), len == 0);
+            assert_eq!(path.iter().collect::<Vec<_>>(), branches, "length {len}");
+            for (i, &b) in branches.iter().enumerate() {
+                assert_eq!(path.get(i), Some(b), "length {len}, decision {i}");
+            }
+            assert_eq!(path.get(len), None);
+            assert_eq!(branches.iter().copied().collect::<BranchPath>(), path);
+            let steps = rng.below(10_000);
+            let mut text = format!("{steps}:");
+            for b in &branches {
+                text.push(if *b == Branch::Then { 'T' } else { 'E' });
+            }
+            let seed = ReplaySeed { steps, branches: path };
+            assert_eq!(seed.render(), text);
+            assert_eq!(ReplaySeed::parse(&text), Some(seed));
+        }
+        // Paths that differ in one decision, or in length only, differ.
+        let ones: BranchPath = std::iter::repeat_n(Branch::Else, 200).collect();
+        let mut flipped: BranchPath = std::iter::repeat_n(Branch::Else, 199).collect();
+        flipped.push(Branch::Then);
+        assert_ne!(ones, flipped);
+        let zeros: BranchPath = std::iter::repeat_n(Branch::Then, 129).collect();
+        let shorter: BranchPath = std::iter::repeat_n(Branch::Then, 128).collect();
+        assert_ne!(zeros, shorter);
     }
 
     #[test]
@@ -2474,10 +2608,14 @@ mod tests {
     #[test]
     fn exploration_state_stays_compact() {
         // Every in-flight path carries these: a two-word rational, a
-        // symbolic value of four words and a three-word history node.
+        // symbolic value of four words, its branch decisions in four words,
+        // and per fork one history node of six words that both children
+        // share. The breadth-first queue of paths is most of a Table 1
+        // run's peak memory.
         assert_eq!(std::mem::size_of::<Rational>(), 16);
         assert!(std::mem::size_of::<SymValue>() <= 32);
-        assert!(std::mem::size_of::<HistoryNode>() <= 24);
+        assert!(std::mem::size_of::<BranchPath>() <= 32);
+        assert!(std::mem::size_of::<HistoryNode>() <= 48);
     }
 
     #[test]
@@ -2485,20 +2623,21 @@ mod tests {
         std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn(|| {
-                let value = Rc::new(SymValue::Var(0));
-                let kind = ConstraintKind::NonPositive;
                 let mut history = History::default();
                 for _ in 0..1_000_000 {
-                    history.push(Some(Branch::Then), kind, Rc::clone(&value));
+                    history.push(SymValue::Var(0), false);
                 }
                 // A fork shares the million-entry prefix; dropping either
                 // side first must leave the other intact.
                 let mut fork = history.clone();
-                fork.push(Some(Branch::Else), kind, Rc::clone(&value));
-                history.push(None, kind, value);
+                fork.push(SymValue::Var(1), false);
+                history.push(SymValue::Var(2), true);
                 drop(history);
-                assert_eq!(fork.branches().len(), 1_000_001);
-                assert_eq!(fork.branches().last(), Some(&Branch::Else));
+                let nodes =
+                    std::iter::successors(fork.0.as_deref(), |node| node.rest.0.as_deref());
+                assert_eq!(nodes.count(), 1_000_001);
+                let newest = fork.0.as_deref().expect("nonempty");
+                assert_eq!((&newest.value, newest.score), (&SymValue::Var(1), false));
                 drop(fork);
             })
             .expect("spawn")

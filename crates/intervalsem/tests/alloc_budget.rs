@@ -5,9 +5,12 @@
 //! The run makes 4,941 forks. Before exact volumes took one-variable groups
 //! in closed form, constant folding stopped collecting argument vectors and
 //! a `fix` unrolling bound φ and x in one environment frame, it made 44,678
-//! allocations (9.04 per fork); it now makes 28,813 (5.83 per fork). The
-//! budget is three quarters of the old rate, so a change that brings back
-//! most of the removed traffic fails here.
+//! allocations (9.04 per fork). Before paths packed their branch decisions
+//! into bits and both children of a fork shared one history node holding
+//! the guard, and before environment chains dropped without a worklist, it
+//! made 28,173 (5.70 per fork); it now makes 16,990 (3.44 per fork). The
+//! budget is three quarters of the previous rate, so a change that brings
+//! back most of the removed traffic fails here.
 
 use probterm_intervalsem::{lower_bound, LowerBoundConfig};
 use probterm_numerics::Rational;
@@ -40,8 +43,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per fork before the allocation-lean path (44,678 / 4,941).
-const OLD_ALLOCATIONS_PER_FORK: f64 = 9.04;
+/// Allocations per fork before packed branch decisions and shared fork
+/// nodes (28,173 / 4,941).
+const OLD_ALLOCATIONS_PER_FORK: f64 = 5.70;
 
 #[test]
 fn gr_stays_within_its_allocation_budget_per_fork() {

@@ -9,9 +9,9 @@
 //! same game for the concrete evaluator.
 
 use probterm_intervalsem::{
-    explore, explore_substitution, frontier_seeds, try_explore_seeded, Branch, ConstraintKind,
-    Exploration, ExplorationConfig, FrontierPath, Poll, ReplaySeed, SymConstraint, SymValue,
-    SymbolicPath,
+    explore, explore_substitution, frontier_seeds, try_explore_seeded, Branch, BranchPath,
+    ConstraintKind, Exploration, ExplorationConfig, FrontierPath, Poll, ReplaySeed, SymConstraint,
+    SymValue, SymbolicPath,
 };
 use probterm_numerics::Rational;
 use probterm_spcf::absmachine::{DomainSpec, Event, Machine, NoAtom};
@@ -22,7 +22,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::Arc;
 
 fn assert_explorations_agree(name: &str, term: &Term, config: &ExplorationConfig) {
     let machine = explore(term, config);
@@ -255,13 +254,13 @@ struct QueuedPath<'a> {
     samples: usize,
     branches: Vec<Branch>,
     constraints: Vec<SymConstraint>,
-    replay: Option<(Arc<[Branch]>, usize)>,
+    replay: Option<(BranchPath, usize)>,
 }
 
 impl QueuedPath<'_> {
     fn next_replayed(&mut self) -> Option<Branch> {
         let (seed, consumed) = self.replay.as_mut()?;
-        let branch = seed[*consumed];
+        let branch = seed.get(*consumed).expect("an unconsumed decision");
         *consumed += 1;
         if *consumed == seed.len() {
             self.replay = None;
@@ -280,7 +279,7 @@ impl QueuedPath<'_> {
     fn into_frontier(self) -> FrontierPath {
         let branches = match self.replay {
             Some((seed, _)) => seed,
-            None => self.branches.into(),
+            None => self.branches.into_iter().collect(),
         };
         FrontierPath { steps: self.machine.steps(), branches }
     }
@@ -306,7 +305,7 @@ fn explore_queueing_every_child<'t>(
         value_first: true,
     };
     let profile = config.profile.then(ProfileCell::shared);
-    let new_path = |replay: Option<(Arc<[Branch]>, usize)>| {
+    let new_path = |replay: Option<(BranchPath, usize)>| {
         let mut machine = Machine::new(spec, term, config.max_steps_per_path);
         if let Some(cell) = &profile {
             machine.set_profile(Rc::clone(cell));
@@ -327,10 +326,10 @@ fn explore_queueing_every_child<'t>(
             result.out_of_fuel += 1;
             result
                 .frontier
-                .push(FrontierPath { steps: seed.steps, branches: Arc::clone(&seed.branches) });
+                .push(FrontierPath { steps: seed.steps, branches: seed.branches.clone() });
         } else {
             queue.push_back(new_path(
-                (!seed.branches.is_empty()).then(|| (Arc::clone(&seed.branches), 0)),
+                (!seed.branches.is_empty()).then(|| (seed.branches.clone(), 0)),
             ));
         }
     }
@@ -367,12 +366,17 @@ fn explore_queueing_every_child<'t>(
             }
             match path.machine.next_event() {
                 Event::Done(value) => {
+                    let result_value = value.into_lit();
+                    let mut constraints = path.constraints.clone();
+                    if let Some(v) = &result_value {
+                        v.push_domain_constraints(&mut constraints);
+                    }
                     let terminated = SymbolicPath {
                         sample_count: path.samples,
                         branches: path.branches.clone(),
-                        constraints: path.constraints.clone(),
+                        constraints,
                         steps: path.machine.steps(),
-                        result: value.into_lit(),
+                        result: result_value,
                     };
                     let hooked = on_terminated(&terminated);
                     result.terminated.push(terminated);

@@ -410,7 +410,7 @@ impl ResultCache {
 /// `papprox` the engines compute changes, so that no snapshot keeps serving
 /// results the current engines would not give; the test
 /// `the_stamp_pins_the_engines_results` fails until it is bumped.
-pub const CACHE_SNAPSHOT_VERSION: &str = "probterm-cache-v3-engine-1";
+pub const CACHE_SNAPSHOT_VERSION: &str = "probterm-cache-v3-engine-2";
 
 fn render_snapshot_line(key: &CacheKey, entry: &Entry) -> String {
     let status = match &entry.status {
@@ -789,7 +789,7 @@ mod tests {
         });
         assert_eq!(
             (CACHE_SNAPSHOT_VERSION, digest),
-            ("probterm-cache-v3-engine-1", 0x2c30_5bb9_c68f_2353),
+            ("probterm-cache-v3-engine-2", 0x2c30_5bb9_c68f_2353),
             "the engines' results moved: bump the engine revision in CACHE_SNAPSHOT_VERSION \
              and pin the new digest\n{results}"
         );

@@ -270,7 +270,7 @@ fn checkpointed_partial_survives_a_graceful_restart_and_resumes() {
     running.join().expect("clean shutdown persists the snapshot");
 
     let snapshot = std::fs::read_to_string(&path).expect("snapshot written on drain");
-    assert_eq!(snapshot.lines().next(), Some("probterm-cache-v3-engine-1"));
+    assert_eq!(snapshot.lines().next(), Some("probterm-cache-v3-engine-2"));
     assert!(snapshot.contains(r#""status":{"bound":""#), "typed status persisted: {snapshot}");
 
     let running = Server::new(config).spawn_tcp("127.0.0.1:0").expect("bind loopback");

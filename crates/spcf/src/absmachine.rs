@@ -172,18 +172,23 @@ impl<L: Clone, A: Clone> Drop for EnvNode<'_, L, A> {
     /// Environment chains grow linearly with the recursion depth of a run,
     /// and they nest not only through `next` but also through *bindings*:
     /// a thunk or closure argument holds the environment it was made in,
-    /// often the previous unrolling's. The default recursive drop glue would overflow the stack
-    /// tearing down a long truncated run, so unlink with an explicit worklist
-    /// that harvests every environment handle a node owns.
+    /// often the previous unrolling's. The default recursive drop glue would
+    /// overflow the stack tearing down a long truncated run, so unlink in a
+    /// loop that harvests every environment handle a node owns.
     ///
-    /// Only a handle this node owns alone goes on the worklist: dropping a
-    /// shared one just decrements its count, so the common drop of a node
-    /// whose chain another path still holds allocates nothing.
+    /// Only a handle this node owns alone is followed: dropping a shared one
+    /// just decrements its count. The walk follows a chain of such handles
+    /// in a loop and spills to a worklist only at a node that owns both its
+    /// binding's environment and `next`, so the common drop, down one chain
+    /// or of a node whose chain another path still holds, allocates nothing.
     fn drop(&mut self) {
+        type Handle<'a, L, A> = Rc<EnvNode<'a, L, A>>;
+        /// Takes the env handles `node` owns alone and returns one to follow
+        /// next; when it owns two, the other goes on the worklist.
         fn harvest<'a, L: Clone, A: Clone>(
             node: &mut EnvNode<'a, L, A>,
-            work: &mut Vec<Rc<EnvNode<'a, L, A>>>,
-        ) {
+            work: &mut Vec<Handle<'a, L, A>>,
+        ) -> Option<Handle<'a, L, A>> {
             let env = match &mut node.binding {
                 Binding::Thunk { env, .. } => env.take(),
                 Binding::Val(Value::Closure { env, .. }) => env.take(),
@@ -191,17 +196,22 @@ impl<L: Clone, A: Clone> Drop for EnvNode<'_, L, A> {
             };
             // A shared handle is kept alive by someone else: dropping it
             // here cannot reach its node's own drop.
-            let owned = |handle: &Rc<EnvNode<'a, L, A>>| Rc::strong_count(handle) == 1;
-            work.extend(env.filter(owned));
-            work.extend(node.next.take().filter(owned));
+            let owned = |handle: &Handle<'a, L, A>| Rc::strong_count(handle) == 1;
+            match (env.filter(owned), node.next.take().filter(owned)) {
+                (Some(env), Some(next)) => {
+                    work.push(next);
+                    Some(env)
+                }
+                (env, next) => env.or(next),
+            }
         }
-        let mut work: Vec<Rc<EnvNode<'_, L, A>>> = Vec::new();
-        harvest(self, &mut work);
-        while let Some(handle) = work.pop() {
-            // Sole owner: strip the node's env handles onto the worklist; its
-            // own drop then has nothing left to recurse into.
+        let mut work: Vec<Handle<'_, L, A>> = Vec::new();
+        let mut follow = harvest(self, &mut work);
+        while let Some(handle) = follow.take().or_else(|| work.pop()) {
+            // Sole owner: strip the node's env handles; its own drop then
+            // has nothing left to recurse into.
             if let Ok(mut node) = Rc::try_unwrap(handle) {
-                harvest(&mut node, &mut work);
+                follow = harvest(&mut node, &mut work);
             }
         }
     }

@@ -585,7 +585,7 @@ fi
 
 # ---------------------------------------------------------------------------
 # Persistence smoke test: a `--cache-path` server computes a result, writes
-# its snapshot on graceful shutdown under the `probterm-cache-v3-engine-1`
+# its snapshot on graceful shutdown under the `probterm-cache-v3-engine-2`
 # stamp, and a freshly-booted server on the same path must load it without
 # rejections and answer the identical request as a cache hit without an
 # engine run. A snapshot restamped `probterm-cache-v2` (an older engine's)
@@ -661,8 +661,8 @@ if [ -x target/release/probterm ]; then
         echo "persist FAILED: no snapshot at $cache_file"
         persist_status=1
     fi
-    if [ "$(head -n 1 "$cache_file" 2>/dev/null)" = "probterm-cache-v3-engine-1" ]; then
-        echo "persist ok: snapshot stamped probterm-cache-v3-engine-1"
+    if [ "$(head -n 1 "$cache_file" 2>/dev/null)" = "probterm-cache-v3-engine-2" ]; then
+        echo "persist ok: snapshot stamped probterm-cache-v3-engine-2"
     else
         echo "persist FAILED: snapshot stamp is '$(head -n 1 "$cache_file" 2>/dev/null)'"
         persist_status=1
